@@ -28,13 +28,15 @@ BenchResult run_one(const std::string& name, const BenchFn& fn, const BenchRunOp
   BenchResult result;
   result.name = name;
   try {
+    // Every repetition times the same input, so min/mean compare like with
+    // like and the metrics do not depend on the repetition count.
     for (unsigned rep = 0; rep < std::max(1u, options.repetitions); ++rep) {
-      BenchContext ctx(mix_seed(options.seed, name) + rep);
+      BenchContext ctx(mix_seed(options.seed, name));
       const auto start = std::chrono::steady_clock::now();
       fn(ctx);
       const auto stop = std::chrono::steady_clock::now();
       result.wall_seconds.push_back(std::chrono::duration<double>(stop - start).count());
-      result.metrics = ctx.metrics();
+      if (rep == 0) result.metrics = ctx.metrics();
     }
     result.ok = true;
   } catch (const std::exception& e) {

@@ -19,8 +19,9 @@ struct BenchRunOptions {
   /// Root seed; each benchmark's RNG is seeded from (seed, name) so results
   /// do not depend on thread scheduling.
   std::uint64_t seed = 2026;
-  /// How many times each benchmark body runs; wall time is recorded per
-  /// repetition, metrics are kept from the last repetition.
+  /// How many times each benchmark body runs, every time on the same seeded
+  /// input; wall time is recorded per repetition, metrics are kept from the
+  /// first repetition.
   unsigned repetitions = 1;
   /// Substring filter over benchmark names (empty = all).
   std::string filter;

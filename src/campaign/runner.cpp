@@ -349,8 +349,10 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
     if (ctx.metrics.diameter) {
       // Measure (not assume) the paper's claim: the reconfigured machine
       // presents the intact target, so its logical diameter must equal the
-      // target's.
-      const std::uint32_t d = diameter(machine.live_logical_graph(ctx.target));
+      // target's. Checked edge for edge; the live graph is rebuilt and swept
+      // only when a target edge is missing.
+      const std::uint32_t d =
+          sim::live_logical_diameter(machine, ctx.target, ctx.target_diameter);
       if (d != kUnreachable) acc.reconfigured_diameter.add(static_cast<double>(d));
     }
     if (want_stretch) {

@@ -129,7 +129,9 @@ struct ScenarioResult {
   // diameter metric --------------------------------------------------------
   /// Diameter of the live logical graph on successful trials — the paper
   /// says this must equal target_diameter, and here it is measured, not
-  /// assumed.
+  /// assumed: every target edge is checked to be a live logical link
+  /// (sim::Machine::presents), which makes the live graph the target itself;
+  /// only when an edge is missing is the live graph rebuilt and BFS-swept.
   StreamingStats reconfigured_diameter;
   /// Diameter of the survivor-induced fabric subgraph on failed trials
   /// (finite values only)...

@@ -36,9 +36,10 @@ bool is_connected(const Graph& g);
 std::uint32_t eccentricity(const Graph& g, NodeId source);
 std::uint32_t eccentricity(const Graph& g, NodeId source, BfsWorkspace& ws);
 
-/// Exact diameter via all-sources BFS sweeps over one shared workspace.
+/// Exact diameter via the bit-parallel MultiSourceBfs kernel: 64 sources per
+/// CSR sweep, stopping at the first batch that proves disconnection.
 /// Returns kUnreachable when disconnected. Serial; `analysis::parallel_all_pairs`
-/// is the engine for the large production-scale instances.
+/// shards the same batches across threads for the large instances.
 std::uint32_t diameter(const Graph& g);
 
 /// True when the graph admits a proper 2-coloring.

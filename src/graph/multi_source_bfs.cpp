@@ -41,11 +41,11 @@ MultiSourceBfs::BatchStats MultiSourceBfs::run_batch(const Graph& g,
     if (distances != nullptr) (*distances)[i * n + s] = 0;
   }
 
-  std::uint64_t sum[kBatchWidth] = {};
-  std::uint32_t ecc[kBatchWidth] = {};
-  std::uint64_t reached[kBatchWidth] = {};
-  for (unsigned i = 0; i < width; ++i) reached[i] = 1;
-
+  // The aggregates fold in one popcount per fresh mask. A source's
+  // eccentricity is the last level that reaches anything new for it, so the
+  // batch maximum is simply the last productive level. Only distance rows
+  // need the per-(source, node) bit loop.
+  BatchStats stats;
   std::uint32_t level = 0;
   while (!frontier_.empty()) {
     ++level;
@@ -65,25 +65,21 @@ MultiSourceBfs::BatchStats MultiSourceBfs::run_batch(const Graph& g,
       visited_[u] |= fresh;
       frontier_bits_[u] = fresh;
       next_frontier_.push_back(u);
-      while (fresh != 0) {
+      const auto c = static_cast<std::uint64_t>(std::popcount(fresh));
+      stats.reachable_pairs += c;
+      stats.total_distance += c * level;
+      stats.max_finite_distance = level;
+      if (distances == nullptr) continue;
+      for (; fresh != 0; fresh &= fresh - 1) {
         const unsigned b = static_cast<unsigned>(std::countr_zero(fresh));
-        fresh &= fresh - 1;
-        sum[b] += level;
-        ecc[b] = level;
-        ++reached[b];
-        if (distances != nullptr) (*distances)[b * n + u] = level;
+        (*distances)[b * n + u] = level;
       }
     }
     frontier_.swap(next_frontier_);
   }
-
-  BatchStats stats;
-  for (unsigned i = 0; i < width; ++i) {
-    stats.reachable_pairs += reached[i] - 1;
-    stats.total_distance += sum[i];
-    stats.max_finite_distance = std::max(stats.max_finite_distance, ecc[i]);
-    stats.all_reach_all = stats.all_reach_all && reached[i] == n;
-  }
+  // Each source reaches at most n - 1 other nodes, so the pair count hits
+  // width * (n - 1) exactly when every source reached every node.
+  stats.all_reach_all = stats.reachable_pairs == std::uint64_t{width} * (n - 1);
   return stats;
 }
 

@@ -44,6 +44,8 @@ class MultiSourceBfs {
   /// unreached. This is the batch counterpart of BfsWorkspace::distances —
   /// callers that need whole rows of the distance matrix (route-stretch
   /// audits, embedding metrics) get 64 rows per CSR sweep instead of one.
+  /// The aggregates cost one popcount per fresh mask either way; only the
+  /// rows take one step per (source, node) pair.
   BatchStats run_batch(const Graph& g, std::span<const NodeId> sources,
                        std::vector<std::uint32_t>* distances = nullptr);
 

@@ -4,6 +4,8 @@
 #include <map>
 #include <stdexcept>
 
+#include "graph/algorithms.hpp"
+
 namespace ftdb::sim {
 
 Machine Machine::direct(Graph topology) {
@@ -63,6 +65,23 @@ Graph Machine::live_logical_graph(const Graph& target) const {
     }
   }
   return builder.build();
+}
+
+bool Machine::presents(const Graph& target) const {
+  const std::size_t n = target.num_nodes();
+  for (NodeId u = 0; u < n; ++u) {
+    for (const NodeId v : target.neighbors(u)) {
+      if (v <= u) continue;  // each undirected edge once
+      if (v >= num_logical() || !logical_link_up(u, v)) return false;
+    }
+  }
+  return true;
+}
+
+std::uint32_t live_logical_diameter(const Machine& machine, const Graph& target,
+                                    std::uint32_t target_diameter) {
+  if (machine.presents(target)) return target_diameter;
+  return diameter(machine.live_logical_graph(target));
 }
 
 std::vector<NodeId> edge_faults_to_node_faults(const Graph& g,

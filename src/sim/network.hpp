@@ -44,7 +44,19 @@ struct Machine {
   /// nodes whose physical images are adjacent. For a reconfigured FT machine
   /// carrying target G this equals G restricted to nothing — i.e. all of G.
   Graph live_logical_graph(const Graph& target) const;
+
+  /// True when every edge of `target` is a live logical link, i.e. when
+  /// live_logical_graph(target) would equal `target` itself. O(E) link
+  /// checks, no allocation — the edge-for-edge form of the dilation-1 claim.
+  bool presents(const Graph& target) const;
 };
+
+/// Diameter of machine.live_logical_graph(target), given
+/// target_diameter == diameter(target). Exact without a BFS when the machine
+/// presents the target (the live graph *is* the target); otherwise the live
+/// graph is built and swept.
+std::uint32_t live_logical_diameter(const Machine& machine, const Graph& target,
+                                    std::uint32_t target_diameter);
 
 /// Edge faults are handled in the paper by declaring one incident node faulty
 /// ("a node that is incident to the faulty edge [is viewed] as being

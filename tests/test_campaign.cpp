@@ -7,7 +7,10 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <memory>
+#include <optional>
 #include <random>
+#include <string>
 
 #include "campaign/fault_models.hpp"
 #include "campaign/report.hpp"
@@ -16,8 +19,14 @@
 #include "campaign/scenario.hpp"
 #include "ft/bus_ft.hpp"
 #include "ft/ft_debruijn.hpp"
+#include "ft/ft_shuffle_exchange.hpp"
 #include "ft/spares.hpp"
+#include "ft/tolerance.hpp"
+#include "graph/algorithms.hpp"
+#include "graph/subgraph.hpp"
+#include "sim/network.hpp"
 #include "topology/debruijn.hpp"
+#include "topology/shuffle_exchange.hpp"
 
 namespace ftdb::campaign {
 namespace {
@@ -519,6 +528,128 @@ TEST(Campaign, ReconfiguredDiameterMatchesTargetOnEverySuccess) {
   // the target diameter on every successful trial (zero variance).
   EXPECT_EQ(r.reconfigured_diameter.min, static_cast<double>(r.target_diameter));
   EXPECT_EQ(r.reconfigured_diameter.max, static_cast<double>(r.target_diameter));
+}
+
+/// The diameter statistics of one cell, recomputed trial by trial from
+/// public calls: the fault draw, the survival check, and then a full BFS
+/// diameter — of the rebuilt live logical graph on success, of the
+/// survivor-induced fabric on failure — with no edge-for-edge shortcut.
+struct DiameterReplay {
+  StreamingStats reconfigured;
+  StreamingStats degraded;
+  std::uint64_t disconnected = 0;
+};
+
+DiameterReplay replay_diameters(const ScenarioSpec& spec, const ScenarioCase& cell) {
+  const unsigned h = cell.topology.digits;
+  const unsigned k = cell.spares;
+  Graph target;
+  Graph fabric;
+  std::optional<BusGraph> bus;
+  switch (cell.topology.family) {
+    case TopologyFamily::DeBruijn:
+      target = debruijn_graph({.base = cell.topology.base, .digits = h});
+      fabric = ft_debruijn_graph({.base = cell.topology.base, .digits = h, .spares = k});
+      break;
+    case TopologyFamily::ShuffleExchange:
+      target = shuffle_exchange_graph(h);
+      fabric = ft_shuffle_exchange_natural(h, k).ft_graph;
+      break;
+    case TopologyFamily::Bus:
+      bus = bus_ft_debruijn_base2(h, k);
+      target = debruijn_base2(h);
+      fabric = bus->realized_graph();
+      break;
+  }
+  const std::unique_ptr<FaultModel> model = make_fault_model(cell.fault_model);
+  model->prepare(fabric, k);
+  if (bus) model->prepare_bus(*bus, k);
+
+  DiameterReplay out;
+  for (std::uint64_t t = 0; t < spec.trials; ++t) {
+    TrialRng rng = TrialRng::for_trial(spec.seed, cell.index, t);
+    const FaultDraw draw = model->draw(fabric, k, rng);
+    bool success = false;
+    if (draw.faults.count() <= k) {
+      if (bus && !draw.bus_faults.empty()) {
+        const std::optional<FaultSet> resolved =
+            resolve_bus_faults(*bus, k, draw.faults.nodes(), draw.bus_faults);
+        success = resolved && bus_monotone_embedding_survives(target, *bus, *resolved);
+      } else if (bus) {
+        success = bus_monotone_embedding_survives(target, *bus, draw.faults);
+      } else {
+        success = monotone_embedding_survives(target, fabric, draw.faults);
+      }
+    }
+    if (success) {
+      const sim::Machine m = sim::Machine::reconfigured(fabric, draw.faults, target.num_nodes());
+      const std::uint32_t d = diameter(m.live_logical_graph(target));
+      if (d != kUnreachable) out.reconfigured.add(static_cast<double>(d));
+    } else {
+      const InducedSubgraph survivors = induced_subgraph_excluding(fabric, draw.faults.nodes());
+      const std::uint32_t d =
+          survivors.graph.num_nodes() == 0 ? kUnreachable : diameter(survivors.graph);
+      if (d == kUnreachable) {
+        ++out.disconnected;
+      } else {
+        out.degraded.add(static_cast<double>(d));
+      }
+    }
+  }
+  return out;
+}
+
+void expect_stats_match(const StreamingStats& got, const StreamingStats& want,
+                        const std::string& where) {
+  EXPECT_EQ(got.count, want.count) << where;
+  if (want.count == 0) return;
+  EXPECT_EQ(got.min, want.min) << where;
+  EXPECT_EQ(got.max, want.max) << where;
+  // Block-wise merging may round differently from the sequential replay.
+  EXPECT_NEAR(got.mean, want.mean, 1e-9 * std::max(1.0, want.mean)) << where;
+}
+
+TEST(Campaign, DiameterMetricMatchesAnIndependentPerTrialReplay) {
+  ScenarioSpec spec;
+  spec.seed = 4711;
+  spec.trials = 300;
+  spec.topologies = {{TopologyFamily::DeBruijn, 2, 5},
+                     {TopologyFamily::ShuffleExchange, 2, 5},
+                     {TopologyFamily::Bus, 2, 4}};
+  spec.spares = {1, 3};
+  FaultModelSpec iid;
+  iid.kind = FaultModelKind::IidBernoulli;
+  iid.p = 0.06;
+  FaultModelSpec heavy = iid;  // shatters the survivors often enough
+  heavy.p = 0.35;
+  FaultModelSpec bus_iid;
+  bus_iid.kind = FaultModelKind::BusIid;
+  bus_iid.p = 0.03;
+  spec.fault_models = {iid, heavy, bus_iid};
+  spec.metrics = {};
+  spec.metrics.diameter = true;
+  spec.metrics.mttf = false;
+  const CampaignResult result = run_campaign(spec, {.threads = 2});
+  const std::vector<ScenarioCase> cells = expand_grid(spec);
+  ASSERT_EQ(result.scenarios.size(), cells.size());
+
+  std::uint64_t successes = 0;
+  std::uint64_t degraded = 0;
+  std::uint64_t disconnected = 0;
+  for (const ScenarioCase& cell : cells) {
+    const ScenarioResult& r = result.scenarios[cell.index];
+    const DiameterReplay want = replay_diameters(spec, cell);
+    expect_stats_match(r.reconfigured_diameter, want.reconfigured, r.label + " reconfigured");
+    expect_stats_match(r.degraded_diameter, want.degraded, r.label + " degraded");
+    EXPECT_EQ(r.degraded_disconnected, want.disconnected) << r.label;
+    successes += want.reconfigured.count;
+    degraded += want.degraded.count;
+    disconnected += want.disconnected;
+  }
+  // The grid must exercise every branch for the comparison to mean anything.
+  EXPECT_GT(successes, 0u);
+  EXPECT_GT(degraded, 0u);
+  EXPECT_GT(disconnected, 0u);
 }
 
 TEST(Campaign, BusFamilyRunsAndBoundsDegree) {

@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <queue>
 #include <random>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "analysis/parallel_all_pairs.hpp"
@@ -414,12 +416,82 @@ TEST(MultiSourceBatchDistances, MatchesQueueBfsOnRandomGraphsAndArbitrarySources
   }
 }
 
+// The aggregate-only path folds whole masks with popcount; it must return
+// exactly what the per-bit distance path and per-source queue sweeps give.
+void expect_stats_eq(const MultiSourceBfs::BatchStats& a, const MultiSourceBfs::BatchStats& b,
+                     const std::string& where) {
+  EXPECT_EQ(a.reachable_pairs, b.reachable_pairs) << where;
+  EXPECT_EQ(a.total_distance, b.total_distance) << where;
+  EXPECT_EQ(a.max_finite_distance, b.max_finite_distance) << where;
+  EXPECT_EQ(a.all_reach_all, b.all_reach_all) << where;
+}
+
+MultiSourceBfs::BatchStats queue_batch_stats(const Graph& g, std::span<const NodeId> sources) {
+  MultiSourceBfs::BatchStats stats;
+  for (const NodeId s : sources) {
+    for (const std::uint32_t d : queue_bfs_distances(g, s)) {
+      if (d == kUnreachable) {
+        stats.all_reach_all = false;
+      } else if (d != 0) {
+        ++stats.reachable_pairs;
+        stats.total_distance += d;
+        stats.max_finite_distance = std::max(stats.max_finite_distance, d);
+      }
+    }
+  }
+  return stats;
+}
+
+TEST(MultiSourceBatchStats, AggregatePathMatchesDistancePathAndQueueBfs) {
+  std::mt19937_64 rng(31337);
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 130u}) {
+    for (int trial = 0; trial < 12; ++trial) {
+      // Sparse draws leave the graph disconnected, dense ones usually not.
+      GraphBuilder b(n);
+      const std::size_t m = rng() % (3 * n + 1);
+      for (std::size_t i = 0; i < m; ++i) {
+        b.add_edge(static_cast<NodeId>(rng() % n), static_cast<NodeId>(rng() % n));
+      }
+      const Graph g = b.build();
+      std::vector<NodeId> all(n);
+      for (std::size_t v = 0; v < n; ++v) all[v] = static_cast<NodeId>(v);
+      std::shuffle(all.begin(), all.end(), rng);
+      const std::size_t width =
+          trial == 0 ? std::min<std::size_t>(n, 64) : 1 + rng() % std::min<std::size_t>(n, 64);
+      const std::span<const NodeId> sources(all.data(), width);
+      const std::string where =
+          "n " + std::to_string(n) + " trial " + std::to_string(trial) + " width " +
+          std::to_string(width);
+
+      MultiSourceBfs scan(n);
+      std::vector<std::uint32_t> dist;
+      const auto with_rows = scan.run_batch(g, sources, &dist);
+      const auto aggregate = scan.run_batch(g, sources);
+      expect_stats_eq(aggregate, with_rows, where);
+      expect_stats_eq(aggregate, queue_batch_stats(g, sources), where);
+
+      for (std::size_t base = 0; base < n; base += MultiSourceBfs::kBatchWidth) {
+        const std::size_t w = std::min<std::size_t>(MultiSourceBfs::kBatchWidth, n - base);
+        std::vector<NodeId> contiguous(w);
+        for (std::size_t i = 0; i < w; ++i) contiguous[i] = static_cast<NodeId>(base + i);
+        expect_stats_eq(scan.run(g, static_cast<NodeId>(base)),
+                        queue_batch_stats(g, contiguous), where + " base " + std::to_string(base));
+      }
+    }
+  }
+}
+
 TEST(MultiSourceBatchDistances, RejectsBadBatches) {
   const Graph g = debruijn_base2(3);
   MultiSourceBfs scan(g.num_nodes());
   EXPECT_THROW(scan.run_batch(g, std::vector<NodeId>{}), std::invalid_argument);
   EXPECT_THROW(scan.run_batch(g, std::vector<NodeId>{0, 0}), std::invalid_argument);
   EXPECT_THROW(scan.run_batch(g, std::vector<NodeId>{99}), std::invalid_argument);
+  // A batch rejected after seeding some sources leaves no stale frontier.
+  EXPECT_THROW(scan.run_batch(g, std::vector<NodeId>{5, 6, 5}), std::invalid_argument);
+  const std::vector<NodeId> next{1, 2};
+  expect_stats_eq(scan.run_batch(g, next), MultiSourceBfs(g.num_nodes()).run_batch(g, next),
+                  "after a rejected batch");
 }
 
 TEST(MultiSourceBatchDistances, ContiguousRunStillMatchesAggregates) {
