@@ -93,9 +93,11 @@ struct MetricSet {
   std::uint64_t stretch_sample_pairs = 0;
   /// Execute a collective schedule (sim/schedule.hpp) through the packet
   /// engine every trial: on the reconfigured machine when the embedding
-  /// survived, on the degraded bare target otherwise, against a healthy
-  /// baseline measured once per cell. Surfaces rounds, hop-cycles, link
-  /// congestion and the completion-time slowdown-vs-fault-count curve.
+  /// survived (one that presents the target edge for edge reuses the healthy
+  /// run, see sim::execute_schedule_or_reuse), on the degraded bare target
+  /// otherwise, against a healthy baseline measured once per cell. Surfaces
+  /// rounds, hop-cycles, link congestion and the completion-time
+  /// slowdown-vs-fault-count curve.
   /// Point-to-point families only (skipped for the bus machine).
   bool collective = false;
   /// Which schedule the collective metric runs (a schedule_kind_name).

@@ -120,6 +120,41 @@ bool subgraph_of_shape(const Graph& g, NeighborsOf&& neighbors_of) {
   return true;
 }
 
+/// The de Bruijn / shuffle-exchange shape a graph sits inside, if any.
+struct ReferenceShape {
+  std::optional<DeBruijnParams> debruijn;  // B_{m,h} containing g
+  unsigned se_h = 0;                       // else SE_{se_h} containing g (0 = none)
+
+  bool found() const { return debruijn.has_value() || se_h != 0; }
+};
+
+/// Reference-shape search: the largest-h (m, h >= 2) factorization of N whose
+/// B_{m,h} contains g, else SE_h. h = 1 (the complete graph) is excluded —
+/// every graph embeds in K_N, but K_N's algebra shares nothing useful.
+ReferenceShape find_reference_shape(const Graph& g) {
+  const std::uint64_t n = g.num_nodes();
+  ReferenceShape shape;
+  for (unsigned h = 63; h >= 2; --h) {
+    const std::uint64_t m = debruijn_exact_root(n, h);
+    if (m == 0) continue;
+    const DeBruijnParams params{.base = m, .digits = h};
+    if (subgraph_of_shape(
+            g, [&](NodeId x, std::vector<NodeId>& out) { debruijn_neighbors(params, x, out); })) {
+      shape.debruijn = params;
+      return shape;
+    }
+  }
+  if (n >= 4 && (n & (n - 1)) == 0) {
+    const auto h = static_cast<unsigned>(std::countr_zero(n));
+    if (subgraph_of_shape(g, [&](NodeId x, std::vector<NodeId>& out) {
+          shuffle_exchange_neighbors(h, x, out);
+        })) {
+      shape.se_h = h;
+    }
+  }
+  return shape;
+}
+
 /// Runs fn(chunk_index, dest_lo, dest_hi) over `chunks` contiguous
 /// destination ranges, on `chunks` threads when more than one. Exceptions
 /// propagate (first one wins).
@@ -151,27 +186,13 @@ void for_each_dest_chunk(std::size_t n, unsigned chunks, Fn&& fn) {
 }  // namespace
 
 CompressedRouter::CompressedRouter(const Graph& g, unsigned build_threads) : n_(g.num_nodes()) {
-  // Reference-shape search: any (m, h >= 2) factorization of N whose B_{m,h}
-  // contains g, else SE_h. h = 1 (the complete graph) is excluded — every
-  // graph embeds in K_N, but K_N's algebra shares nothing useful.
-  for (unsigned h = 63; h >= 2 && reference_ == Reference::None; --h) {
-    const std::uint64_t m = debruijn_exact_root(n_, h);
-    if (m == 0) continue;
-    const DeBruijnParams params{.base = m, .digits = h};
-    if (subgraph_of_shape(
-            g, [&](NodeId x, std::vector<NodeId>& out) { debruijn_neighbors(params, x, out); })) {
-      reference_ = Reference::DeBruijn;
-      db_ = params;
-    }
-  }
-  if (reference_ == Reference::None && n_ >= 4 && (n_ & (n_ - 1)) == 0) {
-    const auto h = static_cast<unsigned>(std::countr_zero(static_cast<std::uint64_t>(n_)));
-    if (subgraph_of_shape(g, [&](NodeId x, std::vector<NodeId>& out) {
-          shuffle_exchange_neighbors(h, x, out);
-        })) {
-      reference_ = Reference::ShuffleExchange;
-      se_h_ = h;
-    }
+  const ReferenceShape shape = find_reference_shape(g);
+  if (shape.debruijn) {
+    reference_ = Reference::DeBruijn;
+    db_ = *shape.debruijn;
+  } else if (shape.se_h != 0) {
+    reference_ = Reference::ShuffleExchange;
+    se_h_ = shape.se_h;
   }
 
   const unsigned threads = sharded_build_threads(build_threads, n_);
@@ -1076,27 +1097,28 @@ std::unique_ptr<Router> make_router(const Graph& g, const RouterOptions& options
   using Backend = RouterOptions::Backend;
   if (options.backend == Backend::Auto || options.backend == Backend::Implicit) {
     // Size-aware policy (Auto only): below the threshold the N^2 slab is
-    // cheap and its O(1) lookup beats the O(h^2) label algebra, so small
-    // shaped machines get the table — the canonical hops are identical
-    // either way. A forced Backend::Implicit skips the size check.
-    const bool implicit_fits =
-        options.backend == Backend::Implicit || options.implicit_min_nodes == 0 ||
-        g.num_nodes() >= options.implicit_min_nodes;
+    // cheap and its O(1) lookup beats the O(h^2) label algebra — the implicit
+    // backend's on a shaped graph, the compressed backend's reference algebra
+    // on a graph inside a shape (a degraded machine) — so small machines of
+    // either kind get the table. The canonical hops are identical either way.
+    // A forced Backend::Implicit skips the size check.
+    const bool prefer_table = options.backend == Backend::Auto &&
+                              options.implicit_min_nodes != 0 &&
+                              g.num_nodes() < options.implicit_min_nodes;
     if (const auto db = debruijn_shape_of(g)) {
-      if (implicit_fits) {
-        return std::make_unique<ImplicitRouter>(ImplicitRouter::for_debruijn(*db));
-      }
-      return std::make_unique<TableRouter>(g, options.build_threads);
+      if (prefer_table) return std::make_unique<TableRouter>(g, options.build_threads);
+      return std::make_unique<ImplicitRouter>(ImplicitRouter::for_debruijn(*db));
     }
     if (const auto se_h = shuffle_exchange_shape_of(g)) {
-      if (implicit_fits) {
-        return std::make_unique<ImplicitRouter>(ImplicitRouter::for_shuffle_exchange(*se_h));
-      }
-      return std::make_unique<TableRouter>(g, options.build_threads);
+      if (prefer_table) return std::make_unique<TableRouter>(g, options.build_threads);
+      return std::make_unique<ImplicitRouter>(ImplicitRouter::for_shuffle_exchange(*se_h));
     }
     if (options.backend == Backend::Implicit) {
       throw std::invalid_argument(
           "make_router: graph is neither de Bruijn- nor shuffle-exchange-shaped");
+    }
+    if (prefer_table && find_reference_shape(g).found()) {
+      return std::make_unique<TableRouter>(g, options.build_threads);
     }
   }
   if (options.backend == Backend::Compressed ||

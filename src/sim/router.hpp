@@ -36,9 +36,12 @@
 //                       fallback and the oracle the others are tested
 //                       against.
 //
-// make_router() picks automatically: implicit when the graph *is* a de
-// Bruijn / shuffle-exchange shape (shape detection is O(N * m)), compressed
-// when the degree stays constant-ish, table otherwise.
+// make_router() picks automatically. Below RouterOptions::implicit_min_nodes
+// (2^12) a graph that is, or sits inside, a de Bruijn / shuffle-exchange
+// shape — a healthy or a degraded machine — gets the table: the slab is cheap
+// there and its O(1) lookup beats either backend's label algebra. At or above
+// it, implicit when the graph *is* such a shape (shape detection is O(N * m)).
+// Otherwise compressed when the degree stays constant-ish, table when not.
 #pragma once
 
 #include <cstdint>
@@ -320,11 +323,16 @@ struct RouterOptions {
   /// degree stays within this bound (the constant-degree regime where the
   /// run-length encoding provably has something to share).
   std::size_t compressed_max_degree = 16;
-  /// Size-aware auto policy: the implicit backend's O(h^2) label algebra only
-  /// pays off where the table slab would hurt, so Auto picks the table (60 ns
-  /// lookups, identical canonical hops) for *shaped* graphs below this node
-  /// count and the O(1)-memory algebra at or above it. 0 restores
-  /// shape-implies-implicit. Forcing a backend bypasses the policy entirely.
+  /// Size-aware auto policy: the O(h^2) label algebra of the implicit backend
+  /// (on a shaped graph) and of the compressed backend's reference shape (on
+  /// a graph inside one, e.g. a degraded machine) only pays off where the
+  /// table slab would hurt. So below this node count Auto picks the table
+  /// (60 ns lookups, identical canonical hops) for any graph that is or sits
+  /// inside a de Bruijn / shuffle-exchange shape; at or above it, the
+  /// O(1)-memory algebra for shaped graphs and the degree rule for the rest.
+  /// 0 restores shape-implies-implicit and the degree rule everywhere.
+  /// Graphs with no reference shape (e.g. FT fabrics) never take this path.
+  /// Forcing a backend bypasses the policy entirely.
   std::size_t implicit_min_nodes = std::size_t{1} << 12;
   /// Threads for the compressed/table build's destination-sharded BFS scans
   /// (0 = hardware concurrency). The built router is bit-identical for any
@@ -335,8 +343,9 @@ struct RouterOptions {
 
 /// Builds the right router for `g`. Auto order: for a recognized B_{m,h} /
 /// SE_h shape, implicit at or above options.implicit_min_nodes and the table
-/// below it (same canonical hops, O(1) lookups, affordable slab); otherwise
-/// compressed (constant-ish degree), else table. Forcing Backend::Implicit on
+/// below it (same canonical hops, O(1) lookups, affordable slab); for a graph
+/// inside such a shape, the table below the threshold; otherwise compressed
+/// (constant-ish degree), else table. Forcing Backend::Implicit on
 /// a graph of neither shape throws std::invalid_argument.
 std::unique_ptr<Router> make_router(const Graph& g, const RouterOptions& options = {});
 

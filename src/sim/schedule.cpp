@@ -1,6 +1,7 @@
 #include "sim/schedule.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -486,6 +487,20 @@ ScheduleRunResult execute_schedule(const Machine& machine, const Graph& target,
     result.timed_out += stats.timed_out;
   }
   return result;
+}
+
+ScheduleRunResult execute_schedule_or_reuse(const Machine& machine, bool presents_target,
+                                            const ScheduleRunResult& healthy,
+                                            const Graph& target, const Schedule& schedule,
+                                            const std::vector<NodeId>& rank_to_logical,
+                                            const ScheduleRunOptions& options) {
+  assert(presents_target == machine.presents(target));
+  bool reuse = presents_target && machine.num_logical() >= target.num_nodes();
+  for (NodeId x = 0; reuse && x < target.num_nodes(); ++x) {
+    reuse = !machine.dead[machine.to_physical[x]];
+  }
+  if (reuse) return healthy;
+  return execute_schedule(machine, target, schedule, rank_to_logical, options);
 }
 
 CollectiveRunResult execute_collective(const Machine& machine, const Graph& target,

@@ -25,6 +25,7 @@
 #include "graph/algorithms.hpp"
 #include "graph/subgraph.hpp"
 #include "sim/network.hpp"
+#include "sim/schedule.hpp"
 #include "topology/debruijn.hpp"
 #include "topology/shuffle_exchange.hpp"
 
@@ -540,27 +541,39 @@ struct DiameterReplay {
   std::uint64_t disconnected = 0;
 };
 
-DiameterReplay replay_diameters(const ScenarioSpec& spec, const ScenarioCase& cell) {
-  const unsigned h = cell.topology.digits;
-  const unsigned k = cell.spares;
+/// A cell's target and fault-tolerant fabric, built from public calls the
+/// way the runner builds them.
+struct CellMachines {
   Graph target;
   Graph fabric;
   std::optional<BusGraph> bus;
+};
+
+CellMachines build_cell_machines(const ScenarioCase& cell) {
+  const unsigned h = cell.topology.digits;
+  const unsigned k = cell.spares;
+  CellMachines out;
   switch (cell.topology.family) {
     case TopologyFamily::DeBruijn:
-      target = debruijn_graph({.base = cell.topology.base, .digits = h});
-      fabric = ft_debruijn_graph({.base = cell.topology.base, .digits = h, .spares = k});
+      out.target = debruijn_graph({.base = cell.topology.base, .digits = h});
+      out.fabric = ft_debruijn_graph({.base = cell.topology.base, .digits = h, .spares = k});
       break;
     case TopologyFamily::ShuffleExchange:
-      target = shuffle_exchange_graph(h);
-      fabric = ft_shuffle_exchange_natural(h, k).ft_graph;
+      out.target = shuffle_exchange_graph(h);
+      out.fabric = ft_shuffle_exchange_natural(h, k).ft_graph;
       break;
     case TopologyFamily::Bus:
-      bus = bus_ft_debruijn_base2(h, k);
-      target = debruijn_base2(h);
-      fabric = bus->realized_graph();
+      out.bus = bus_ft_debruijn_base2(h, k);
+      out.target = debruijn_base2(h);
+      out.fabric = out.bus->realized_graph();
       break;
   }
+  return out;
+}
+
+DiameterReplay replay_diameters(const ScenarioSpec& spec, const ScenarioCase& cell) {
+  const unsigned k = cell.spares;
+  const auto [target, fabric, bus] = build_cell_machines(cell);
   const std::unique_ptr<FaultModel> model = make_fault_model(cell.fault_model);
   model->prepare(fabric, k);
   if (bus) model->prepare_bus(*bus, k);
@@ -1016,6 +1029,128 @@ TEST(Collective, ReportIsByteIdenticalAcrossThreadsResumeAndShards) {
 
   // And the validator accepts the document, slowdown-curve invariants included.
   EXPECT_EQ(validate_campaign_report(serial), 4u);
+}
+
+/// One de Bruijn and one SE cell with the collective and Zipf traffic on.
+ScenarioSpec collective_traffic_spec() {
+  ScenarioSpec spec;
+  spec.name = "collective-traffic";
+  spec.seed = 31;
+  spec.trials = 300;
+  spec.topologies = {{TopologyFamily::DeBruijn, 2, 4}, {TopologyFamily::ShuffleExchange, 2, 4}};
+  spec.spares = {2};
+  spec.fault_models = {{FaultModelKind::IidBernoulli, 0.05, 1.0, 100.0, 1.0}};
+  spec.metrics.diameter = false;
+  spec.metrics.mttf = false;
+  spec.metrics.collective = true;
+  spec.metrics.collective_schedule = "all_to_all_bruck";
+  spec.metrics.traffic = true;
+  spec.metrics.traffic_spec.pattern = "zipf";
+  spec.metrics.traffic_spec.packets_per_node = 2;
+  return spec;
+}
+
+void expect_same_run(const sim::ScheduleRunResult& got, const sim::ScheduleRunResult& want,
+                     const std::string& where) {
+  EXPECT_EQ(got.rounds, want.rounds) << where;
+  EXPECT_EQ(got.total_cycles, want.total_cycles) << where;
+  EXPECT_EQ(got.total_hop_cycles, want.total_hop_cycles) << where;
+  EXPECT_EQ(got.max_link_congestion, want.max_link_congestion) << where;
+  EXPECT_EQ(got.logical_sends, want.logical_sends) << where;
+  EXPECT_EQ(got.delivered, want.delivered) << where;
+  EXPECT_EQ(got.undeliverable, want.undeliverable) << where;
+  EXPECT_EQ(got.timed_out, want.timed_out) << where;
+}
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(Collective, EverySuccessfulTrialReplaysToTheHealthyRun) {
+  // The runner hands every successful trial the healthy run without running
+  // the engine. Replay each one through the engine on its reconfigured
+  // machine: every field must equal the healthy run.
+  const ScenarioSpec spec = collective_traffic_spec();
+  CampaignOptions options;
+  options.threads = 2;
+  const CampaignResult result = run_campaign(spec, options);
+  const std::vector<ScenarioCase> cells = expand_grid(spec);
+  ASSERT_EQ(result.scenarios.size(), 2u);
+  for (const ScenarioCase& cell : cells) {
+    const ScenarioResult& r = result.scenarios[cell.index];
+    const auto [target, fabric, bus] = build_cell_machines(cell);
+    const auto n = static_cast<std::uint32_t>(target.num_nodes());
+    const sim::Schedule schedule =
+        sim::build_schedule(sim::schedule_kind_from_name(spec.metrics.collective_schedule), n);
+    std::vector<NodeId> ranks(n);
+    for (NodeId v = 0; v < n; ++v) ranks[v] = v;
+    const sim::ScheduleRunResult healthy =
+        sim::execute_schedule(sim::Machine::direct(target), target, schedule, ranks);
+    EXPECT_EQ(r.collective_baseline_cycles, healthy.total_cycles) << r.label;
+
+    const std::unique_ptr<FaultModel> model = make_fault_model(cell.fault_model);
+    model->prepare(fabric, cell.spares);
+    std::uint64_t successes = 0;
+    for (std::uint64_t t = 0; t < spec.trials; ++t) {
+      TrialRng rng = TrialRng::for_trial(spec.seed, cell.index, t);
+      const FaultDraw draw = model->draw(fabric, cell.spares, rng);
+      if (draw.faults.count() > cell.spares ||
+          !monotone_embedding_survives(target, fabric, draw.faults)) {
+        continue;
+      }
+      const sim::Machine machine = sim::Machine::reconfigured(fabric, draw.faults, n);
+      expect_same_run(sim::execute_schedule(machine, target, schedule, ranks), healthy,
+                      r.label + " trial " + std::to_string(t));
+      ++successes;
+    }
+    EXPECT_EQ(successes, r.reconfig_success) << r.label;
+    EXPECT_GT(successes, 0u) << r.label;
+    EXPECT_LT(successes, spec.trials) << r.label;  // failed trials run the engine too
+  }
+  // Report bytes pinned to the value measured before the healthy run was
+  // reused.
+  EXPECT_EQ(fnv1a(campaign_report_json(result)), 0xe95a6af615bca039ull);
+}
+
+TEST(Collective, MachineMissingATargetLinkRunsTheEngine) {
+  const Graph target = debruijn_base2(4);
+  const Graph ft = ft_debruijn_base2(4, 2);
+  const FaultSet faults(ft.num_nodes(), {3, 9});
+  const auto n = static_cast<std::uint32_t>(target.num_nodes());
+  const sim::Schedule schedule = sim::build_schedule(sim::ScheduleKind::AllToAllBruck, n);
+  std::vector<NodeId> ranks(n);
+  for (NodeId v = 0; v < n; ++v) ranks[v] = v;
+  const sim::ScheduleRunResult healthy =
+      sim::execute_schedule(sim::Machine::direct(target), target, schedule, ranks);
+
+  // Intact: the shortcut returns what the engine would have computed.
+  const sim::Machine intact = sim::Machine::reconfigured(ft, faults, n);
+  ASSERT_TRUE(intact.presents(target));
+  expect_same_run(sim::execute_schedule_or_reuse(intact, true, healthy, target, schedule, ranks),
+                  sim::execute_schedule(intact, target, schedule, ranks), "intact");
+
+  // Cut the physical image of one target link.
+  const Edge cut = target.edges().front();
+  const NodeId pu = intact.to_physical[cut.u];
+  const NodeId pv = intact.to_physical[cut.v];
+  GraphBuilder b(ft.num_nodes());
+  for (const Edge& e : ft.edges()) {
+    if (!((e.u == pu && e.v == pv) || (e.u == pv && e.v == pu))) b.add_edge(e.u, e.v);
+  }
+  const sim::Machine broken = sim::Machine::reconfigured(b.build(), faults, n);
+  ASSERT_FALSE(broken.presents(target));
+  const sim::ScheduleRunResult engine = sim::execute_schedule(broken, target, schedule, ranks);
+  // The detour shows in the run, so a wrongly reused healthy run would be
+  // caught below.
+  ASSERT_NE(engine.total_hop_cycles, healthy.total_hop_cycles);
+  expect_same_run(sim::execute_schedule_or_reuse(broken, broken.presents(target), healthy, target,
+                                                 schedule, ranks),
+                  engine, "cut " + std::to_string(cut.u) + "-" + std::to_string(cut.v));
 }
 
 TEST(Collective, CsvAndMarkdownCarryTheSlowdownColumns) {

@@ -43,6 +43,27 @@ RouterOptions auto_implicit() {
   return options;
 }
 
+/// The size-aware Auto policy on a degraded machine below implicit_min_nodes:
+/// the graph sits inside a reference shape, so Auto picks the table, which
+/// answers every (dest, node) pair exactly as the compressed router sharing
+/// that shape's algebra.
+void expect_degraded_gets_table(const Graph& live, const std::string& context) {
+  ASSERT_LT(live.num_nodes(), RouterOptions{}.implicit_min_nodes) << context;
+  const auto router = make_router(live);
+  ASSERT_EQ(router->backend(), RouterBackend::Table) << context;
+  const CompressedRouter compressed(live);
+  ASSERT_TRUE(compressed.uses_reference_shape()) << context;
+  const std::size_t n = live.num_nodes();
+  for (NodeId dest = 0; dest < n; ++dest) {
+    for (NodeId node = 0; node < n; ++node) {
+      ASSERT_EQ(router->next_hop(dest, node), compressed.next_hop(dest, node))
+          << context << " dest " << dest << " node " << node;
+      ASSERT_EQ(router->distance(dest, node), compressed.distance(dest, node))
+          << context << " dest " << dest << " node " << node;
+    }
+  }
+}
+
 /// All-pairs agreement of `routers` with each other and with the BFS oracle:
 /// identical distances, hop-for-hop identical paths, and next-hop totality
 /// (every hop is a real neighbor strictly closer to the destination).
@@ -202,6 +223,16 @@ TEST_P(DeBruijnRouterGrid, DegradedMachineFallsBackAndStaysEquivalent) {
                     "degraded B(m=" + std::to_string(m) + ",h=" + std::to_string(h) + ")");
 }
 
+TEST_P(DeBruijnRouterGrid, DegradedMachineBelowThresholdGetsTheTable) {
+  const auto [m, h] = GetParam();
+  const Graph target = debruijn_graph({.base = m, .digits = h});
+  std::mt19937_64 rng(77 * m + h);
+  const FaultSet faults = FaultSet::random(target.num_nodes(), 2, rng);
+  const Machine machine = Machine::direct_with_faults(target, faults);
+  expect_degraded_gets_table(machine.live_logical_graph(target),
+                             "degraded B(m=" + std::to_string(m) + ",h=" + std::to_string(h) + ")");
+}
+
 INSTANTIATE_TEST_SUITE_P(Grid, DeBruijnRouterGrid,
                          ::testing::Values(Params{2, 2}, Params{2, 3}, Params{2, 4},
                                            Params{3, 2}, Params{3, 3}, Params{3, 4},
@@ -239,6 +270,16 @@ TEST_P(SeRouterGrid, ReconfiguredNaturalFtSeKeepsImplicitRouting) {
   const TableRouter table(target);
   expect_equivalent(target, {&table, router.get()},
                     "reconfigured SE(h=" + std::to_string(h) + ")");
+}
+
+TEST_P(SeRouterGrid, DegradedMachineBelowThresholdGetsTheTable) {
+  const unsigned h = GetParam();
+  const Graph target = shuffle_exchange_graph(h);
+  std::mt19937_64 rng(300 + h);
+  const FaultSet faults = FaultSet::random(target.num_nodes(), 1, rng);
+  const Machine machine = Machine::direct_with_faults(target, faults);
+  expect_degraded_gets_table(machine.live_logical_graph(target),
+                             "degraded SE(h=" + std::to_string(h) + ")");
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, SeRouterGrid, ::testing::Values(2, 3, 4, 5));
