@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "analysis/bench_json.hpp"
+#include "io/framed_log.hpp"
 
 namespace ftdb::campaign::elastic {
 namespace {
@@ -34,26 +35,11 @@ std::string host_name() {
 /// inode — the identity witness the holder checks on every heartbeat.
 void write_stamp_file(const std::string& path, const std::string& text, std::uint64_t& dev,
                       std::uint64_t& ino) {
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) io_fail("open", path);
-  const char* data = text.data();
-  std::size_t len = text.size();
-  while (len > 0) {
-    const ssize_t w = ::write(fd, data, len);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      io_fail("write", path);
-    }
-    data += w;
-    len -= static_cast<std::size_t>(w);
-  }
+  const io::UniqueFd fd = io::open_or_throw(path, O_WRONLY | O_CREAT | O_TRUNC);
+  io::write_all(fd.get(), text.data(), text.size(), path);
+  io::fsync_or_throw(fd.get(), path);
   struct stat st {};
-  if (::fsync(fd) != 0 || ::fstat(fd, &st) != 0) {
-    ::close(fd);
-    io_fail("fsync", path);
-  }
-  ::close(fd);
+  if (::fstat(fd.get(), &st) != 0) io_fail("fstat", path);
   dev = static_cast<std::uint64_t>(st.st_dev);
   ino = static_cast<std::uint64_t>(st.st_ino);
 }

@@ -29,6 +29,7 @@
 #include "graph/algorithms.hpp"
 #include "graph/bus_graph.hpp"
 #include "graph/subgraph.hpp"
+#include "io/framed_log.hpp"
 #include "sim/engine.hpp"
 #include "sim/network.hpp"
 #include "sim/reconfigured_routing.hpp"
@@ -607,19 +608,6 @@ void finalize_result(const ScenarioContext& ctx, const ScenarioCase& cell, Scena
     // The model draws full lifetimes, so the empirical MTTF column is exactly
     // the (k+1)-st order statistic this closed form computes.
     r.analytic_mttf = weibull_mttf(r.fabric_nodes, cell.spares, model.shape, model.scale);
-  }
-}
-
-void write_file_atomically(const std::string& path, const std::string& content) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw std::runtime_error("campaign: cannot write " + tmp);
-    out << content;
-    if (!out.flush()) throw std::runtime_error("campaign: short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw std::runtime_error("campaign: cannot rename " + tmp + " to " + path);
   }
 }
 
@@ -1302,7 +1290,7 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
           // joinable pool — that would std::terminate. Record it like a
           // worker failure, drain the workers, and rethrow after the join.
           try {
-            write_file_atomically(options.checkpoint_path, snapshot_checkpoint());
+            io::replace_file(options.checkpoint_path, snapshot_checkpoint(), /*fsync=*/true);
             checkpointed_blocks = done;
             last_checkpoint = now;
           } catch (...) {
@@ -1327,7 +1315,7 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
 
   const std::uint64_t done = blocks_completed.load();
   if (checkpointing && (done > checkpointed_blocks || (options.stop_after_blocks != 0 && done > 0))) {
-    write_file_atomically(options.checkpoint_path, snapshot_checkpoint());
+    io::replace_file(options.checkpoint_path, snapshot_checkpoint(), /*fsync=*/true);
   }
   if (options.stop_after_blocks != 0 && stop.load()) {
     const bool all_done = std::all_of(states.begin(), states.end(),

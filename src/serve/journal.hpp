@@ -6,15 +6,9 @@
 // reconfiguration pipeline reconstructs the exact pre-crash machine state —
 // embedding, retired set, and incrementally-patched router alike.
 //
-// On-disk format (all integers little-endian):
-//
-//   header (24 bytes):
-//     magic     8 bytes  "FTDBJRN1"
-//     version   u32      1
-//     config    u64      fingerprint of the ServeConfig that owns this log —
-//                        a journal replayed against a different machine shape
-//                        would silently diverge, so mismatches are refused
-//     crc       u32      CRC-32 of the preceding 20 bytes
+// On-disk format (all integers little-endian): the io::FramedLog header
+// (io/framed_log.hpp) with magic "FTDBJRN1", version 1 and the fingerprint
+// of the ServeConfig that owns the log, then one frame per record:
 //
 //   record (13 bytes each):
 //     op        u8       JournalOp
@@ -22,10 +16,10 @@
 //     b         u32      secondary node (link's second endpoint; else 0)
 //     crc       u32      CRC-32 of the preceding 9 bytes
 //
-// A crash can only tear the final record (appends are sequential); open()
-// truncates any tail whose frame is short or whose CRC fails and reports the
-// dropped byte count. Each append is optionally fsync'd, which bounds loss to
-// events the caller was never told were durable.
+// Framing, torn-tail truncation and append rollback are io::FramedLog's;
+// this file is the record codec. A frame whose CRC checks but whose op is
+// unknown ends the scan like a torn tail. Each append is optionally fsync'd,
+// which bounds loss to events the caller was never told were durable.
 //
 // `rewrite()` implements checkpoint compaction: the full log is replaced by
 // an equivalent minimal one (temp file + fsync + atomic rename), so the log's
@@ -37,10 +31,9 @@
 #include <string>
 #include <vector>
 
-namespace ftdb::serve {
+#include "io/framed_log.hpp"
 
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) over `len` bytes.
-std::uint32_t crc32(const void* data, std::size_t len);
+namespace ftdb::serve {
 
 enum class JournalOp : std::uint8_t {
   kFaultNode = 1,
@@ -64,7 +57,6 @@ class Journal {
   /// corrupt frame are truncated away. Throws std::runtime_error on I/O
   /// failure, header corruption, or fingerprint mismatch.
   Journal(std::string path, std::uint64_t fingerprint, bool fsync_writes);
-  ~Journal();
 
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
@@ -73,7 +65,7 @@ class Journal {
   const std::vector<JournalRecord>& recovered() const { return recovered_; }
 
   /// Bytes dropped from a torn tail at open time (0 for a clean log).
-  std::size_t truncated_bytes() const { return truncated_; }
+  std::size_t truncated_bytes() const { return log_.truncated_bytes(); }
 
   /// Appends one record (and fsyncs, when enabled). The record is durable
   /// when this returns.
@@ -88,17 +80,13 @@ class Journal {
   std::size_t num_records() const { return num_records_; }
 
   /// Current file size in bytes.
-  std::size_t size_bytes() const;
+  std::size_t size_bytes() const { return log_.size_bytes(); }
 
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return log_.path(); }
 
  private:
-  std::string path_;
-  std::uint64_t fingerprint_ = 0;
-  bool fsync_ = true;
-  int fd_ = -1;
-  std::vector<JournalRecord> recovered_;
-  std::size_t truncated_ = 0;
+  std::vector<JournalRecord> recovered_;  // filled while log_ opens
+  io::FramedLog log_;
   std::size_t num_records_ = 0;
 };
 
