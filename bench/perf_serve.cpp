@@ -3,9 +3,12 @@
 //  * incremental_vs_rebuild — the headline claim: patching the shape-delta
 //    CompressedRouter for one fault (apply_fault + retract_fault) versus the
 //    2-BFS-per-destination from-scratch rebuild, on B_{2,12} (N = 4096). The
-//    `speedup` metric is asserted >= 10x in CI.
+//    `speedup` metric is asserted >= 10x in CI, and the counted work
+//    `reference_evals_per_patch` (reference-algebra evaluations per patch,
+//    exact for the fixed fault sequence) against a ceiling.
 //  * fault_event_latency — end-to-end mutation latency through the service
-//    (journal append + reconfigure + router patch + epoch publish).
+//    (journal append + reconfigure + router patch + epoch publish), with the
+//    same counted work per mutation.
 //  * query_throughput — FT-surface and bare-surface reads through a pinned
 //    Reader while faults are outstanding.
 //  * journal_replay — cold-start recovery of a journaled event stream.
@@ -72,11 +75,23 @@ FTDB_BENCH(serve_incremental_vs_rebuild, "perf_serve/incremental_vs_rebuild_b2h1
   // One patch cycle = apply + retract, i.e. two single-fault transitions.
   const double patch_s = seconds_since(start) / (2 * kPatches);
 
+  // The same cycles again, untimed (stats() hashes the whole table), for the
+  // counted work; the patches are deterministic, so the counts are too.
+  double evaluations = 0;
+  for (int i = 0; i < kPatches; ++i) {
+    const auto v = static_cast<NodeId>((i * 977 + 1) % n);
+    incremental.apply_fault(v);
+    evaluations += static_cast<double>(incremental.stats().patch_evaluations);
+    incremental.retract_fault(v);
+    evaluations += static_cast<double>(incremental.stats().patch_evaluations);
+  }
+
   ctx.report("nodes", n);
   ctx.report("rebuild_seconds", rebuild_s);
   ctx.report("incremental_seconds", patch_s);
   ctx.report("speedup", rebuild_s / patch_s);
   ctx.report("rebuild_exceptions", static_cast<double>(exceptions) / kRebuilds);
+  ctx.report("reference_evals_per_patch", evaluations / (2 * kPatches));
 }
 
 FTDB_BENCH(serve_fault_event_latency, "perf_serve/fault_event_latency_b2h12") {
@@ -97,8 +112,21 @@ FTDB_BENCH(serve_fault_event_latency, "perf_serve/fault_event_latency_b2h12") {
     service.fault({FaultKind::kNode, v, 0});
     service.repair(v);
   }
-  ctx.report("seconds_per_mutation", seconds_since(start) / (2 * kCycles));
+  const double mutation_s = seconds_since(start) / (2 * kCycles);
+
+  // Counted work per mutation on a second, untimed pass over the same events
+  // (stats() takes the writer lock and hashes the router).
+  double evaluations = 0;
+  for (int i = 0; i < kCycles; ++i) {
+    const auto v = static_cast<NodeId>((i * 1291 + 7) % service.num_logical_nodes());
+    service.fault({FaultKind::kNode, v, 0});
+    evaluations += static_cast<double>(service.stats().bare.patch_evaluations);
+    service.repair(v);
+    evaluations += static_cast<double>(service.stats().bare.patch_evaluations);
+  }
+  ctx.report("seconds_per_mutation", mutation_s);
   ctx.report("events", 2 * kCycles);
+  ctx.report("reference_evals_per_patch", evaluations / (2 * kCycles));
   std::remove(journal.c_str());
 }
 

@@ -225,13 +225,11 @@ void ReconfigurationService::sweep_retired_epochs() const {
 }
 
 ReconfigurationService::Reader ReconfigurationService::reader() {
-  std::lock_guard<std::mutex> lock(mu_);
+  // Lock-free claim: registering never waits behind a mutation. A free slot's
+  // pin is already null (the departing Reader clears it before releasing).
   for (std::size_t i = 0; i < kMaxReaders; ++i) {
-    if (!slot_used_[i].load()) {
-      slot_used_[i].store(true);
-      pinned_[i].store(nullptr);
-      return Reader(this, i);
-    }
+    bool expected = false;
+    if (slot_used_[i].compare_exchange_strong(expected, true)) return Reader(this, i);
   }
   throw std::runtime_error("ReconfigurationService::reader: all reader slots in use");
 }

@@ -173,7 +173,8 @@ class ReconfigurationService {
   };
 
   /// Registers a reader slot (throws std::runtime_error when kMaxReaders are
-  /// live). The Reader unregisters on destruction.
+  /// live). Lock-free: it never waits for the writer. The Reader unregisters
+  /// on destruction.
   Reader reader();
 
   /// Shared ownership of the current epoch (takes the writer lock; for

@@ -6,7 +6,6 @@
 #include <bit>
 #include <exception>
 #include <optional>
-#include <queue>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -75,7 +74,7 @@ namespace {
 /// source is a functor so the same sweep serves the graph's CSR and the
 /// algebraic reference shapes.
 template <class ForEachNeighbor>
-void bfs_row(NodeId dest, std::vector<std::uint32_t>& row, std::vector<NodeId>& cur,
+void bfs_row(NodeId dest, std::span<std::uint32_t> row, std::vector<NodeId>& cur,
              std::vector<NodeId>& next, ForEachNeighbor&& for_each_neighbor) {
   std::fill(row.begin(), row.end(), kUnreachable);
   row[dest] = 0;
@@ -97,33 +96,40 @@ void bfs_row(NodeId dest, std::vector<std::uint32_t>& row, std::vector<NodeId>& 
 }
 
 /// bfs_row over the graph's own adjacency.
-void bfs_row_graph(const Graph& g, NodeId dest, std::vector<std::uint32_t>& row,
+void bfs_row_graph(const Graph& g, NodeId dest, std::span<std::uint32_t> row,
                    std::vector<NodeId>& cur, std::vector<NodeId>& next) {
   bfs_row(dest, row, cur, next, [&](NodeId u, auto&& visit) {
     for (const NodeId v : g.neighbors(u)) visit(v);
   });
 }
 
-/// True when every adjacency list of g is a subset of the shape's algebraic
-/// one — the condition under which the shape's distances are a sharable
-/// reference (deviations can only be sparse detours around the holes).
+/// How a graph relates to a reference shape's algebraic adjacency.
+enum class ShapeFit { None, Subgraph, Equal };
+
+/// Subgraph when every adjacency list of g is a subset of the shape's
+/// algebraic one — the condition under which the shape's distances are a
+/// sharable reference (deviations can only be sparse detours around the
+/// holes) — and Equal when every list matches exactly.
 template <class NeighborsOf>
-bool subgraph_of_shape(const Graph& g, NeighborsOf&& neighbors_of) {
+ShapeFit fit_to_shape(const Graph& g, NeighborsOf&& neighbors_of) {
   std::vector<NodeId> expected;
+  bool equal = true;
   for (std::size_t x = 0; x < g.num_nodes(); ++x) {
     neighbors_of(static_cast<NodeId>(x), expected);
     const auto actual = g.neighbors(static_cast<NodeId>(x));
     if (!std::includes(expected.begin(), expected.end(), actual.begin(), actual.end())) {
-      return false;
+      return ShapeFit::None;
     }
+    equal = equal && expected.size() == actual.size();
   }
-  return true;
+  return equal ? ShapeFit::Equal : ShapeFit::Subgraph;
 }
 
 /// The de Bruijn / shuffle-exchange shape a graph sits inside, if any.
 struct ReferenceShape {
   std::optional<DeBruijnParams> debruijn;  // B_{m,h} containing g
   unsigned se_h = 0;                       // else SE_{se_h} containing g (0 = none)
+  bool equal = false;                      // g is the shape itself, not a proper subgraph
 
   bool found() const { return debruijn.has_value() || se_h != 0; }
 };
@@ -138,18 +144,22 @@ ReferenceShape find_reference_shape(const Graph& g) {
     const std::uint64_t m = debruijn_exact_root(n, h);
     if (m == 0) continue;
     const DeBruijnParams params{.base = m, .digits = h};
-    if (subgraph_of_shape(
-            g, [&](NodeId x, std::vector<NodeId>& out) { debruijn_neighbors(params, x, out); })) {
+    const ShapeFit fit = fit_to_shape(
+        g, [&](NodeId x, std::vector<NodeId>& out) { debruijn_neighbors(params, x, out); });
+    if (fit != ShapeFit::None) {
       shape.debruijn = params;
+      shape.equal = fit == ShapeFit::Equal;
       return shape;
     }
   }
   if (n >= 4 && (n & (n - 1)) == 0) {
     const auto h = static_cast<unsigned>(std::countr_zero(n));
-    if (subgraph_of_shape(g, [&](NodeId x, std::vector<NodeId>& out) {
-          shuffle_exchange_neighbors(h, x, out);
-        })) {
+    const ShapeFit fit = fit_to_shape(g, [&](NodeId x, std::vector<NodeId>& out) {
+      shuffle_exchange_neighbors(h, x, out);
+    });
+    if (fit != ShapeFit::None) {
       shape.se_h = h;
+      shape.equal = fit == ShapeFit::Equal;
     }
   }
   return shape;
@@ -183,6 +193,201 @@ void for_each_dest_chunk(std::size_t n, unsigned chunks, Fn&& fn) {
   }
 }
 
+// Per-shape plumbing shared by the compressed router's reference algebra and
+// the implicit backend: the incremental distance stepper, plus the algebraic
+// adjacency as an allocation-free visitor (duplicates and self-loops are
+// harmless to the BFS sweeps that use it).
+struct DebruijnShapeOps {
+  using Stepper = DebruijnDistanceStepper;
+  DeBruijnParams params;
+  std::uint64_t n;     // m^h
+  std::uint64_t high;  // m^{h-1}
+  Stepper make(NodeId dest) const { return Stepper(params, dest); }
+  template <class Visit>
+  void for_each_neighbor(NodeId x, Visit&& visit) const {
+    const std::uint64_t slid = (static_cast<std::uint64_t>(x) * params.base) % n;
+    const std::uint64_t down = x / params.base;
+    for (std::uint64_t r = 0; r < params.base; ++r) {
+      const std::uint64_t left = slid + r;
+      visit(static_cast<NodeId>(left >= n ? left - n : left));
+      visit(static_cast<NodeId>(r * high + down));
+    }
+  }
+};
+
+struct ShuffleExchangeShapeOps {
+  using Stepper = ShuffleExchangeDistanceStepper;
+  unsigned h;
+  Stepper make(NodeId dest) const { return Stepper(h, dest); }
+  template <class Visit>
+  void for_each_neighbor(NodeId x, Visit&& visit) const {
+    visit(se_exchange(x));
+    visit(se_shuffle(x, h));
+    visit(se_unshuffle(x, h));
+  }
+};
+
+/// `n` is the node count m^h of `params` (callers already hold it).
+DebruijnShapeOps debruijn_ops(const DeBruijnParams& params, std::uint64_t n) {
+  return {params, n, n / params.base};
+}
+
+/// Reference-shape BFS rows rooted at every node of a small ball around a
+/// patched node. The shape is undirected, so ref(x, d) is the reference
+/// distance(d, x) for every destination d, and the patch loop reads it as an
+/// array instead of evaluating the label algebra. The ball is every node
+/// within `radius` hops of the center in the patched graph (a subgraph of the
+/// shape), cut at kMaxMembers beyond the first ring, which the patch loops
+/// read unconditionally. Members sit within `radius` reference hops of the
+/// center, so each row is stored as small offsets from the center's row,
+/// destination-major to match the loop's access order; on the packed shapes
+/// all rows come from one bit-parallel sweep.
+class NearRows {
+ public:
+  static constexpr std::size_t kMaxMembers = 64;  // one sweep, one bit per root
+
+  template <class Ops>
+  NearRows(const Ops& ops, const Graph& g, NodeId center, unsigned radius)
+      : n_(g.num_nodes()), slot_(n_, -1), center_row_(n_) {
+    members_.push_back(center);
+    slot_[center] = 0;
+    for (std::size_t lo = 0, level = 0; level < radius; ++level) {
+      const std::size_t hi = members_.size();
+      for (std::size_t i = lo; i < hi; ++i) {
+        for (const NodeId w : g.neighbors(members_[i])) {
+          if (slot_[w] >= 0 || (level > 0 && members_.size() == kMaxMembers)) continue;
+          slot_[w] = static_cast<std::int32_t>(members_.size());
+          members_.push_back(w);
+        }
+      }
+      lo = hi;
+    }
+    const auto visit_shape = [&](NodeId u, auto&& visit) { ops.for_each_neighbor(u, visit); };
+    std::vector<NodeId> cur, next;
+    bfs_row(center, center_row_, cur, next, visit_shape);
+    sweep(visit_shape);
+  }
+
+  bool contains(NodeId x) const { return slot_[x] >= 0; }
+  /// Reference distance of a ball member x (contains(x) must hold) to d.
+  std::uint32_t ref(NodeId x, NodeId d) const {
+    return center_row_[d] + offset_[d * members_.size() + static_cast<std::size_t>(slot_[x])];
+  }
+
+ private:
+  // Level-synchronous BFS from up to 64 members at once, one bit per root
+  // (a first ring wider than that takes more batches); duplicate or self
+  // neighbors are harmless.
+  template <class ForEachNeighbor>
+  void sweep(ForEachNeighbor&& for_each_neighbor) {
+    const std::size_t m = members_.size();
+    offset_.assign(n_ * m, 0);
+    std::vector<std::uint64_t> seen(n_), frontier(n_), reached(n_, 0);
+    std::vector<NodeId> cur, next, touched;
+    for (std::size_t base = 0; base < m; base += 64) {
+      std::fill(seen.begin(), seen.end(), 0);
+      cur.clear();
+      for (std::size_t i = base; i < std::min(m, base + 64); ++i) {
+        const NodeId x = members_[i];
+        seen[x] = frontier[x] = std::uint64_t{1} << (i - base);
+        offset_[x * m + i] = static_cast<std::int8_t>(-static_cast<int>(center_row_[x]));
+        cur.push_back(x);
+      }
+      for (std::uint32_t level = 1; !cur.empty(); ++level) {
+        touched.clear();
+        for (const NodeId u : cur) {
+          const std::uint64_t mask = frontier[u];
+          for_each_neighbor(u, [&](NodeId w) {
+            if (reached[w] == 0) touched.push_back(w);
+            reached[w] |= mask;
+          });
+        }
+        next.clear();
+        for (const NodeId w : touched) {
+          std::uint64_t fresh = reached[w] & ~seen[w];
+          reached[w] = 0;
+          if (fresh == 0) continue;
+          seen[w] |= fresh;
+          frontier[w] = fresh;
+          next.push_back(w);
+          const auto offset = static_cast<std::int8_t>(static_cast<int>(level) -
+                                                       static_cast<int>(center_row_[w]));
+          for (; fresh != 0; fresh &= fresh - 1) {
+            offset_[w * m + base + static_cast<std::size_t>(std::countr_zero(fresh))] = offset;
+          }
+        }
+        cur.swap(next);
+      }
+    }
+  }
+
+  std::size_t n_;
+  std::vector<std::int32_t> slot_;  // per node: member index, or -1 outside the ball
+  std::vector<NodeId> members_;
+  std::vector<std::uint32_t> center_row_;
+  std::vector<std::int8_t> offset_;  // n x members, destination-major: ref(x, d) - ref(center, d)
+};
+
+/// Exception lookups for a destination loop that runs in increasing
+/// destination order: each node's cursor into its sorted exception list only
+/// moves forward, so a lookup is amortized O(1) and the whole loop pays
+/// O(N + exceptions) without a second copy of the table.
+class ExceptionCursor {
+ public:
+  ExceptionCursor(const std::vector<std::size_t>& offsets, const std::vector<NodeId>& dests,
+                  const std::vector<std::uint32_t>& dists)
+      : offsets_(offsets), dests_(dests), dists_(dists),
+        cursor_(offsets.begin(), offsets.end() - 1) {}
+
+  /// The stored exception for (d, x), or nullptr where x sits at its
+  /// reference distance. d must not decrease between calls for one x.
+  const std::uint32_t* at(NodeId d, NodeId x) {
+    std::size_t& c = cursor_[x];
+    const std::size_t end = offsets_[x + 1];
+    while (c < end && dests_[c] < d) ++c;
+    return c < end && dests_[c] == d ? &dists_[c] : nullptr;
+  }
+
+ private:
+  const std::vector<std::size_t>& offsets_;
+  const std::vector<NodeId>& dests_;
+  const std::vector<std::uint32_t>& dists_;
+  std::vector<std::size_t> cursor_;
+};
+
+/// Min-queue over small integer keys for the unit-weight sweeps: pops in
+/// nondecreasing key order while every push is >= the last popped key.
+/// Buckets keep their capacity across destinations.
+class BucketQueue {
+ public:
+  bool empty() const { return size_ == 0; }
+  void push(std::uint32_t key, NodeId x) {
+    if (key >= buckets_.size()) buckets_.resize(key + 1);
+    buckets_[key].push_back(x);
+    if (size_++ == 0 || key < cur_) cur_ = key;
+  }
+  std::pair<std::uint32_t, NodeId> pop() {
+    while (buckets_[cur_].empty()) ++cur_;
+    const NodeId x = buckets_[cur_].back();
+    buckets_[cur_].pop_back();
+    --size_;
+    return {cur_, x};
+  }
+
+ private:
+  std::vector<std::vector<NodeId>> buckets_;
+  std::uint32_t cur_ = 0;
+  std::size_t size_ = 0;
+};
+
+// Ball radii. apply_fault's cascade asks for the old distances of the fault's
+// neighbors (radius 1), of their neighbors for the live-parent test (2), and,
+// when a radius-1 node is affected, of its children's neighbors (3). Retract's
+// relaxation improves v itself on every destination and its neighbors on
+// many, so radius 2 covers the common depth.
+constexpr unsigned kApplyRadius = 3;
+constexpr unsigned kRetractRadius = 2;
+
 }  // namespace
 
 CompressedRouter::CompressedRouter(const Graph& g, unsigned build_threads) : n_(g.num_nodes()) {
@@ -198,63 +403,16 @@ CompressedRouter::CompressedRouter(const Graph& g, unsigned build_threads) : n_(
   const unsigned threads = sharded_build_threads(build_threads, n_);
 
   if (reference_ != Reference::None) {
-    // Shape-delta: per destination, diff the exact BFS row against a BFS of
-    // the reference shape (cheaper than N evaluations of the O(h^2) formula,
-    // and provably equal to it); only the deviations are kept. The graph
-    // itself is retained for the canonical descent at query time. Each
-    // destination's scan is independent, so contiguous destination chunks run
-    // on separate threads and their raw vectors concatenate in chunk order —
-    // the same dest-major sequence a serial scan produces.
+    // Shape-delta. The graph itself is retained for the canonical descent at
+    // query time. A graph equal to its reference shape deviates nowhere, so
+    // only a proper subgraph pays for the per-destination scans.
     graph_ = g;
-    const auto reference_neighbors = [&](NodeId x, std::vector<NodeId>& out) {
-      if (reference_ == Reference::DeBruijn) {
-        debruijn_neighbors(db_, x, out);
-      } else {
-        shuffle_exchange_neighbors(se_h_, x, out);
-      }
-    };
-    struct RawException {
-      NodeId node;
-      NodeId dest;
-      std::uint32_t dist;
-    };
-    std::vector<std::vector<RawException>> chunk_raw(threads);
-    for_each_dest_chunk(n_, threads, [&](unsigned chunk, std::size_t lo, std::size_t hi) {
-      std::vector<std::uint32_t> row(n_), ref_row(n_);
-      std::vector<NodeId> cur, next, scratch;
-      for (std::size_t dest = lo; dest < hi; ++dest) {
-        bfs_row_graph(g, static_cast<NodeId>(dest), row, cur, next);
-        // Same BFS over the algebraic adjacency (the shapes are symmetric, so
-        // rooting at dest gives distance-to-dest).
-        bfs_row(static_cast<NodeId>(dest), ref_row, cur, next, [&](NodeId u, auto&& visit) {
-          reference_neighbors(u, scratch);
-          for (const NodeId v : scratch) visit(v);
-        });
-        for (std::size_t v = 0; v < n_; ++v) {
-          if (row[v] != ref_row[v]) {
-            chunk_raw[chunk].push_back(
-                {static_cast<NodeId>(v), static_cast<NodeId>(dest), row[v]});
-          }
-        }
-      }
-    });
-    std::vector<RawException> raw;
-    {
-      std::size_t total = 0;
-      for (const auto& c : chunk_raw) total += c.size();
-      raw.reserve(total);
-      for (auto& c : chunk_raw) raw.insert(raw.end(), c.begin(), c.end());
-    }
-    exception_offsets_.assign(n_ + 1, 0);
-    for (const RawException& e : raw) ++exception_offsets_[e.node + 1];
-    for (std::size_t v = 0; v < n_; ++v) exception_offsets_[v + 1] += exception_offsets_[v];
-    exception_dest_.resize(raw.size());
-    exception_dist_.resize(raw.size());
-    std::vector<std::size_t> cursor(exception_offsets_.begin(), exception_offsets_.end() - 1);
-    for (const RawException& e : raw) {  // dest-major input keeps per-node dests sorted
-      const std::size_t i = cursor[e.node]++;
-      exception_dest_[i] = e.dest;
-      exception_dist_[i] = e.dist;
+    if (shape.equal) {
+      exception_offsets_.assign(n_ + 1, 0);
+    } else if (reference_ == Reference::DeBruijn) {
+      build_shape_delta(debruijn_ops(db_, n_), g, threads);
+    } else {
+      build_shape_delta(ShuffleExchangeShapeOps{se_h_}, g, threads);
     }
     // Nodes already isolated in the input graph are adopted as retired faults,
     // so a router built from a degraded machine supports retract_fault too.
@@ -332,6 +490,56 @@ CompressedRouter::CompressedRouter(const Graph& g, unsigned build_threads) : n_(
     const std::size_t i = cursor[r.node]++;
     run_dest_lo_[i] = r.dest_lo;
     run_hop_[i] = r.hop;
+  }
+}
+
+// Shape-delta build of a proper subgraph: per destination, diff the exact BFS
+// row against a BFS of the reference shape (cheaper than N evaluations of the
+// O(h^2) formula, and provably equal to it); only the deviations are kept.
+// Each destination's scan is independent, so contiguous destination chunks
+// run on separate threads and their raw vectors concatenate in chunk order —
+// the same dest-major sequence a serial scan produces.
+template <class Ops>
+void CompressedRouter::build_shape_delta(const Ops& ops, const Graph& g, unsigned threads) {
+  struct RawException {
+    NodeId node;
+    NodeId dest;
+    std::uint32_t dist;
+  };
+  std::vector<std::vector<RawException>> chunk_raw(threads);
+  for_each_dest_chunk(n_, threads, [&](unsigned chunk, std::size_t lo, std::size_t hi) {
+    std::vector<std::uint32_t> row(n_), ref_row(n_);
+    std::vector<NodeId> cur, next;
+    for (std::size_t dest = lo; dest < hi; ++dest) {
+      bfs_row_graph(g, static_cast<NodeId>(dest), row, cur, next);
+      // Same BFS over the algebraic adjacency (the shapes are symmetric, so
+      // rooting at dest gives distance-to-dest).
+      bfs_row(static_cast<NodeId>(dest), ref_row, cur, next,
+              [&](NodeId u, auto&& visit) { ops.for_each_neighbor(u, visit); });
+      for (std::size_t v = 0; v < n_; ++v) {
+        if (row[v] != ref_row[v]) {
+          chunk_raw[chunk].push_back({static_cast<NodeId>(v), static_cast<NodeId>(dest), row[v]});
+        }
+      }
+    }
+  });
+  std::vector<RawException> raw;
+  {
+    std::size_t total = 0;
+    for (const auto& c : chunk_raw) total += c.size();
+    raw.reserve(total);
+    for (auto& c : chunk_raw) raw.insert(raw.end(), c.begin(), c.end());
+  }
+  exception_offsets_.assign(n_ + 1, 0);
+  for (const RawException& e : raw) ++exception_offsets_[e.node + 1];
+  for (std::size_t v = 0; v < n_; ++v) exception_offsets_[v + 1] += exception_offsets_[v];
+  exception_dest_.resize(raw.size());
+  exception_dist_.resize(raw.size());
+  std::vector<std::size_t> cursor(exception_offsets_.begin(), exception_offsets_.end() - 1);
+  for (const RawException& e : raw) {  // dest-major input keeps per-node dests sorted
+    const std::size_t i = cursor[e.node]++;
+    exception_dest_[i] = e.dest;
+    exception_dist_[i] = e.dist;
   }
 }
 
@@ -421,6 +629,7 @@ CompressedRouter::Stats CompressedRouter::stats() const {
       break;
   }
   s.tracked_faults = faulty_.size();
+  s.patch_evaluations = patch_evaluations_;
   // FNV-1a over the logical routing state, so two routers answering
   // identically hash identically regardless of how they were produced
   // (from-scratch build vs a chain of incremental patches vs journal replay).
@@ -459,51 +668,48 @@ void CompressedRouter::rebuild_graph(NodeId v, const std::vector<NodeId>& add_ne
   graph_ = b.build();
 }
 
-void CompressedRouter::merge_deltas(std::vector<DistDelta>& deltas) {
+// The patch loops emit deltas destination by destination, so a stable
+// counting sort by node yields (node, dest) order in O(N + deltas). Whether a
+// delta is still an exception was decided by the loop that produced it.
+void CompressedRouter::merge_deltas(const std::vector<DistDelta>& deltas) {
   if (deltas.empty()) return;
-  std::sort(deltas.begin(), deltas.end(), [](const DistDelta& a, const DistDelta& b) {
-    return a.node != b.node ? a.node < b.node : a.dest < b.dest;
-  });
+  std::vector<std::size_t> start(n_ + 1, 0);
+  for (const DistDelta& dl : deltas) ++start[dl.node + 1];
+  for (std::size_t u = 0; u < n_; ++u) start[u + 1] += start[u];
+  std::vector<std::uint32_t> order(deltas.size());
+  {
+    std::vector<std::size_t> cursor(start.begin(), start.end() - 1);
+    for (std::size_t i = 0; i < deltas.size(); ++i) {
+      order[cursor[deltas[i].node]++] = static_cast<std::uint32_t>(i);
+    }
+  }
   std::vector<std::size_t> new_offsets(n_ + 1, 0);
-  std::vector<NodeId> new_dest;
-  std::vector<std::uint32_t> new_dist;
-  new_dest.reserve(exception_dest_.size() + deltas.size());
-  new_dist.reserve(exception_dist_.size() + deltas.size());
-  std::size_t di = 0;
+  std::vector<NodeId> new_dest(exception_dest_.size() + deltas.size());
+  std::vector<std::uint32_t> new_dist(new_dest.size());
+  std::size_t out = 0;
+  const auto keep = [&](NodeId dest, std::uint32_t dist) {
+    new_dest[out] = dest;
+    new_dist[out] = dist;
+    ++out;
+  };
   for (NodeId u = 0; u < n_; ++u) {
     std::size_t oi = exception_offsets_[u];
     const std::size_t oe = exception_offsets_[u + 1];
-    while (oi < oe || (di < deltas.size() && deltas[di].node == u)) {
-      bool take_delta;
-      if (di >= deltas.size() || deltas[di].node != u) {
-        take_delta = false;
-      } else if (oi >= oe) {
-        take_delta = true;
-      } else if (deltas[di].dest < exception_dest_[oi]) {
-        take_delta = true;
-      } else if (deltas[di].dest > exception_dest_[oi]) {
-        take_delta = false;
-      } else {
-        take_delta = true;  // the delta overrides the stale entry
-        ++oi;
+    for (std::size_t di = start[u]; di < start[u + 1]; ++di) {
+      const DistDelta& dl = deltas[order[di]];
+      for (; oi < oe && exception_dest_[oi] < dl.dest; ++oi) {
+        keep(exception_dest_[oi], exception_dist_[oi]);
       }
-      if (take_delta) {
-        const DistDelta& dl = deltas[di++];
-        // Canonical form: an exception exists exactly where the true distance
-        // deviates from the reference algebra. A delta that lands back on the
-        // reference value erases the entry.
-        if (dl.dist != reference_distance(dl.dest, dl.node)) {
-          new_dest.push_back(dl.dest);
-          new_dist.push_back(dl.dist);
-        }
-      } else {
-        new_dest.push_back(exception_dest_[oi]);
-        new_dist.push_back(exception_dist_[oi]);
-        ++oi;
-      }
+      if (oi < oe && exception_dest_[oi] == dl.dest) ++oi;  // the delta overrides it
+      // Canonical form: an exception exists exactly where the true distance
+      // deviates from the reference algebra; a delta back on it erases.
+      if (dl.dist != kAtReference) keep(dl.dest, dl.dist);
     }
-    new_offsets[u + 1] = new_dest.size();
+    for (; oi < oe; ++oi) keep(exception_dest_[oi], exception_dist_[oi]);
+    new_offsets[u + 1] = out;
   }
+  new_dest.resize(out);
+  new_dist.resize(out);
   exception_offsets_ = std::move(new_offsets);
   exception_dest_ = std::move(new_dest);
   exception_dist_ = std::move(new_dist);
@@ -518,104 +724,192 @@ void CompressedRouter::apply_fault(NodeId v) {
   if (std::binary_search(faulty_.begin(), faulty_.end(), v)) {
     throw std::invalid_argument("CompressedRouter::apply_fault: node already retired");
   }
+  const std::vector<DistDelta> deltas = reference_ == Reference::DeBruijn
+                                            ? fault_deltas(debruijn_ops(db_, n_), v)
+                                            : fault_deltas(ShuffleExchangeShapeOps{se_h_}, v);
+  rebuild_graph(v, {}, /*removing=*/true);
+  merge_deltas(deltas);
+  faulty_.insert(std::upper_bound(faulty_.begin(), faulty_.end(), v), v);
+}
 
+template <class Ops>
+std::vector<CompressedRouter::DistDelta> CompressedRouter::fault_deltas(const Ops& ops,
+                                                                        NodeId v) {
   const auto nb = graph_.neighbors(v);
   const std::vector<NodeId> old_neighbors(nb.begin(), nb.end());
+  const NearRows near(ops, graph_, v, kApplyRadius);
+  // v's old row, the old hop count from v to every node (and old_v = ring[d]).
+  std::vector<std::uint32_t> ring(n_);
+  {
+    std::vector<NodeId> cur, next;
+    bfs_row_graph(graph_, v, ring, cur, next);
+  }
+  ExceptionCursor exceptions(exception_offsets_, exception_dest_, exception_dist_);
+  patch_evaluations_ = 0;
 
   std::vector<DistDelta> deltas;
 
-  // Old distances v <-> d for every d in one BFS (the graph is undirected),
-  // instead of N single-pair lookups that each pay the O(h^2) reference
-  // algebra. Also serves as the dest-v row below.
-  std::vector<std::uint32_t> row_v(n_);
-  {
-    std::vector<NodeId> bfs_cur, bfs_next;
-    bfs_row_graph(graph_, v, row_v, bfs_cur, bfs_next);
-  }
-
-  // Scratch shared across destinations: era-stamped membership in the
-  // affected set, era-stamped settled/tentative state for the repair
-  // Dijkstra, and an era-stamped memo of this destination's old distances —
-  // the cascade probes the same near-v nodes from several parents, and each
-  // raw distance() costs an O(h^2) algebra evaluation on non-exception
-  // pairs. No per-destination O(N) clearing anywhere.
-  std::vector<std::uint32_t> in_affected(n_, 0), settled(n_, 0);
-  std::vector<std::uint32_t> tentative(n_);
-  std::vector<std::uint32_t> memo_stamp(n_, 0), memo_dist(n_);
+  // Era-stamped scratch shared across destinations (no per-destination O(N)
+  // clearing): membership in the affected set, settled/tentative state for
+  // the repair Dijkstra, and the exact old distances of affected and probed
+  // nodes with their witnesses (the stepper's hints when a node becomes a
+  // center).
+  std::vector<std::uint32_t> in_affected(n_, 0), settled(n_, 0), tentative(n_);
+  std::vector<std::uint32_t> old_stamp(n_, 0), old_dist(n_);
+  std::vector<DistanceWitness> old_wit(n_);
   std::uint32_t era = 0;
-  using QItem = std::pair<std::uint32_t, NodeId>;
-  std::priority_queue<QItem, std::vector<QItem>, std::greater<QItem>> cascade, repair;
+  NodeId d = 0;
+  typename Ops::Stepper stepper = ops.make(0);
+  BucketQueue cascade, repair;
   std::vector<NodeId> affected;
 
-  for (NodeId d = 0; d < n_; ++d) {
-    if (d == v) continue;
-    const std::uint32_t old_v = row_v[d];
+  // Old distance of x to d where something stored answers: the memo, the
+  // exception table, else (x at its reference distance) the ball's row.
+  const auto old_known = [&](NodeId x, std::uint32_t& out) {
+    if (old_stamp[x] == era) {
+      out = old_dist[x];
+    } else if (x == d) {
+      out = 0;
+    } else if (const std::uint32_t* e = exceptions.at(d, x)) {
+      out = *e;
+    } else if (near.contains(x)) {
+      out = near.ref(x, d);
+    } else {
+      return false;
+    }
+    return true;
+  };
+  // Old distance of x, a neighbor of u (old distance du), given that it is
+  // >= lo: exact when <= cap, else some value > cap. Where nothing stored
+  // answers, a capped probe from u's reference state decides — u's old
+  // distance, or a full scan where u itself has an exception.
+  const auto old_probe = [&](NodeId x, NodeId u, std::uint32_t du, std::uint32_t lo,
+                             std::uint32_t cap) {
+    std::uint32_t dx = kUnreachable;
+    if (old_known(x, dx)) return dx;
+    if (stepper.node() != u) {
+      if (exceptions.at(d, u) != nullptr) {
+        stepper.reset(u);
+        ++patch_evaluations_;
+      } else {
+        stepper.seed(u, du, old_stamp[u] == era ? old_wit[u] : DistanceWitness{});
+      }
+    }
+    DistanceWitness wit;
+    dx = stepper.probe_adjacent(x, lo, cap, &wit);
+    ++patch_evaluations_;
+    if (dx <= cap) {
+      old_stamp[x] = era;
+      old_dist[x] = dx;
+      old_wit[x] = wit;
+    }
+    return dx;
+  };
+
+  for (d = 0; d < n_; ++d) {
+    if (d == v) {
+      // The row of destination v: an isolated node is unreachable from everyone.
+      for (NodeId u = 0; u < n_; ++u) {
+        if (u != v && ring[u] != kUnreachable) deltas.push_back({u, v, kUnreachable});
+      }
+      continue;
+    }
+    const std::uint32_t old_v = ring[d];
     if (old_v == kUnreachable) continue;  // v lies on no live path to d
+    // Distances only grow under a deletion (new > old >= reference), so every
+    // delta this loop emits is an exception.
     deltas.push_back({v, d, kUnreachable});
     ++era;
+    stepper.retarget(d);
     in_affected[v] = era;
     affected.clear();
-    const auto dist = [&](NodeId x) {
-      if (memo_stamp[x] == era) return memo_dist[x];
-      memo_stamp[x] = era;
-      return memo_dist[x] = distance(d, x);
-    };
 
-    // A node whose every shortest-path parent is v or already affected loses
-    // all of its shortest paths to d (Ramalingam–Reps deletion). Processing
-    // candidates in increasing old-distance order makes the test exact: all
-    // affected nodes of the parent level are classified before any child.
-    const auto has_live_parent = [&](NodeId u, std::uint32_t du) {
-      for (const NodeId w : graph_.neighbors(u)) {
+    // A node whose every shortest-path parent (a neighbor one hop closer) is
+    // v or already affected loses all of its shortest paths to d
+    // (Ramalingam–Reps deletion). Processing candidates in increasing
+    // old-distance order makes the test exact: all affected nodes of the
+    // parent level are classified before any child. Every candidate x has a
+    // shortest path through v (dx == old_v + ring[x]), so a neighbor one
+    // ring closer to v is a parent outright; other parents already known are
+    // checked next, and a probe only asks "one hop closer?".
+    const auto has_live_parent = [&](NodeId x, std::uint32_t dx) {
+      bool unknown = false;
+      for (const NodeId w : graph_.neighbors(x)) {
         if (w == v || in_affected[w] == era) continue;
-        if (dist(w) + 1 == du) return true;
+        std::uint32_t dw = kUnreachable;
+        if (ring[w] + 1 == ring[x]) return true;
+        if (!old_known(w, dw)) {
+          unknown = true;
+        } else if (dw + 1 == dx) {
+          return true;
+        }
+      }
+      if (!unknown) return false;
+      for (const NodeId w : graph_.neighbors(x)) {
+        if (w == v || in_affected[w] == era) continue;
+        if (old_probe(w, x, dx, dx - 1, dx - 1) + 1 == dx) return true;
       }
       return false;
     };
+    const auto mark_affected = [&](NodeId u, std::uint32_t du) {
+      if (old_stamp[u] != era) old_wit[u] = DistanceWitness{};
+      in_affected[u] = era;
+      old_stamp[u] = era;
+      old_dist[u] = du;
+      affected.push_back(u);
+      cascade.push(du, u);
+    };
     for (const NodeId u : old_neighbors) {
-      const std::uint32_t du = dist(u);
+      std::uint32_t du = kUnreachable;
+      old_known(u, du);  // the first ring is in the ball
       if (du != old_v + 1 || in_affected[u] == era) continue;
       if (has_live_parent(u, du)) continue;
-      in_affected[u] = era;
-      affected.push_back(u);
-      cascade.push({du, u});
+      mark_affected(u, du);
     }
     while (!cascade.empty()) {
-      const auto [du, u] = cascade.top();
-      cascade.pop();
+      const auto [du, u] = cascade.pop();
+      // An unaffected neighbor sits at du or du + 1 (at du - 1 it would have
+      // been a live parent of u), and at du + 1 only if it lies one ring
+      // farther from v (its path through v is no longer than u's otherwise).
+      // Settle the outward ones from u's position, then test the children.
+      const auto outward = [&](NodeId x) {
+        return x != v && in_affected[x] != era && ring[x] == ring[u] + 1;
+      };
       for (const NodeId x : graph_.neighbors(u)) {
-        if (x == v || in_affected[x] == era) continue;
-        const std::uint32_t dx = dist(x);
-        if (dx != du + 1) continue;  // not a child of u
-        if (has_live_parent(x, dx)) continue;
-        in_affected[x] = era;
-        affected.push_back(x);
-        cascade.push({dx, x});
+        if (outward(x)) old_probe(x, u, du, du, du + 1);
+      }
+      for (const NodeId x : graph_.neighbors(u)) {
+        if (!outward(x)) continue;
+        if (old_probe(x, u, du, du, du + 1) != du + 1) continue;  // not a child of u
+        if (has_live_parent(x, du + 1)) continue;
+        mark_affected(x, du + 1);
       }
     }
 
     // Exact new distances for the affected set: Dijkstra seeded from the
-    // unaffected boundary (whose distances are unchanged by the deletion).
+    // unaffected boundary, whose distances the deletion leaves unchanged
+    // (du for a neighbor no farther from v, else settled by the cascade).
     for (const NodeId u : affected) {
+      const std::uint32_t du = old_dist[u];
       std::uint32_t best = kUnreachable;
       for (const NodeId w : graph_.neighbors(u)) {
         if (w == v || in_affected[w] == era) continue;
-        const std::uint32_t dw = dist(w);
-        if (dw != kUnreachable && dw + 1 < best) best = dw + 1;
+        const std::uint32_t dw =
+            ring[w] <= ring[u] ? du : old_probe(w, u, du, du, du + 1);
+        best = std::min(best, dw + 1);
       }
       tentative[u] = best;
-      if (best != kUnreachable) repair.push({best, u});
+      if (best != kUnreachable) repair.push(best, u);
     }
     while (!repair.empty()) {
-      const auto [t, u] = repair.top();
-      repair.pop();
+      const auto [t, u] = repair.pop();
       if (settled[u] == era || t != tentative[u]) continue;
       settled[u] = era;
       for (const NodeId x : graph_.neighbors(u)) {
         if (x == v || in_affected[x] != era || settled[x] == era) continue;
         if (t + 1 < tentative[x]) {
           tentative[x] = t + 1;
-          repair.push({t + 1, x});
+          repair.push(t + 1, x);
         }
       }
     }
@@ -623,15 +917,7 @@ void CompressedRouter::apply_fault(NodeId v) {
       deltas.push_back({u, d, settled[u] == era ? tentative[u] : kUnreachable});
     }
   }
-
-  // The row of destination v: an isolated node is unreachable from everyone.
-  for (NodeId u = 0; u < n_; ++u) {
-    if (u != v && row_v[u] != kUnreachable) deltas.push_back({u, v, kUnreachable});
-  }
-
-  rebuild_graph(v, {}, /*removing=*/true);
-  merge_deltas(deltas);
-  faulty_.insert(std::upper_bound(faulty_.begin(), faulty_.end(), v), v);
+  return deltas;
 }
 
 void CompressedRouter::retract_fault(NodeId v) {
@@ -644,75 +930,102 @@ void CompressedRouter::retract_fault(NodeId v) {
     throw std::invalid_argument("CompressedRouter::retract_fault: node is not retired");
   }
   faulty_.erase(it);
+  merge_deltas(reference_ == Reference::DeBruijn
+                   ? repair_deltas(debruijn_ops(db_, n_), v)
+                   : repair_deltas(ShuffleExchangeShapeOps{se_h_}, v));
+}
 
+template <class Ops>
+std::vector<CompressedRouter::DistDelta> CompressedRouter::repair_deltas(const Ops& ops,
+                                                                         NodeId v) {
   // v returns with its full reference adjacency towards every live peer.
   std::vector<NodeId> restored;
   reference_neighbors(v, restored);
   std::erase_if(restored, [&](NodeId w) {
     return std::binary_search(faulty_.begin(), faulty_.end(), w);
   });
-  // Rebuild the graph first: the relaxation below walks the restored
-  // adjacency while distance() still answers from the pre-repair exceptions.
+  // Rebuild the graph first: the relaxation walks the restored adjacency
+  // while the exception table still holds the pre-repair distances (an old
+  // distance is the stored exception, else the reference distance).
   rebuild_graph(v, restored, /*removing=*/false);
+  const NearRows near(ops, graph_, v, kRetractRadius);
+  ExceptionCursor exceptions(exception_offsets_, exception_dest_, exception_dist_);
+  patch_evaluations_ = 0;
 
   std::vector<DistDelta> deltas;
 
-  // Row of destination v: one BFS over the restored graph.
-  {
-    std::vector<std::uint32_t> row(n_);
-    std::vector<NodeId> cur, next;
-    bfs_row_graph(graph_, v, row, cur, next);
-    for (NodeId u = 0; u < n_; ++u) {
-      if (u != v && row[u] != distance(v, u)) deltas.push_back({u, v, row[u]});
-    }
-  }
-
-  // Every other destination: an edge insertion only ever shortens distances,
+  // Every destination but v: an edge insertion only ever shortens distances,
   // and every shortened path runs through v, so relaxing outward from v with
-  // old distances as the cap touches exactly the improved nodes.
-  std::vector<std::uint32_t> stamp(n_, 0);
-  std::vector<std::uint32_t> best(n_);
-  std::vector<std::uint32_t> memo_stamp(n_, 0), memo_dist(n_);
+  // old distances as the cap touches exactly the improved nodes. All edges
+  // weigh one and v is the only source, so the relaxation is a BFS: a node's
+  // first improvement is final, and its parent is the node being expanded.
+  // Era-stamped scratch: new distances, and each improved node's reference
+  // distance (kUnreachable: only known to lie below its new distance) with
+  // its witness.
+  std::vector<std::uint32_t> stamp(n_, 0), best(n_), ref_dist(n_);
+  std::vector<DistanceWitness> ref_wit(n_);
+  std::vector<NodeId> queue;
   std::uint32_t era = 0;
-  using QItem = std::pair<std::uint32_t, NodeId>;
-  std::priority_queue<QItem, std::vector<QItem>, std::greater<QItem>> relax;
+  typename Ops::Stepper stepper = ops.make(0);
   for (NodeId d = 0; d < n_; ++d) {
-    if (d == v) continue;
+    if (d == v) {
+      // Row of destination v: one BFS over the restored graph against the
+      // reference row. v was isolated, so every reachable node changes.
+      std::vector<std::uint32_t> row_v(n_);
+      std::vector<NodeId> cur, next;
+      bfs_row_graph(graph_, v, row_v, cur, next);
+      for (NodeId u = 0; u < n_; ++u) {
+        if (u != v && row_v[u] != kUnreachable) {
+          deltas.push_back({u, v, row_v[u] == near.ref(v, u) ? kAtReference : row_v[u]});
+        }
+      }
+      continue;
+    }
     ++era;
-    // Era-stamped memo of this destination's pre-repair distances: the
-    // relaxation frontier probes shared neighbors repeatedly, and each raw
-    // distance() pays the O(h^2) reference algebra on non-exception pairs.
-    const auto dist = [&](NodeId x) {
-      if (memo_stamp[x] == era) return memo_dist[x];
-      memo_stamp[x] = era;
-      return memo_dist[x] = distance(d, x);
-    };
+    stepper.retarget(d);
     std::uint32_t nv = kUnreachable;
     for (const NodeId w : graph_.neighbors(v)) {
-      const std::uint32_t dw = dist(w);
-      if (dw != kUnreachable && dw + 1 < nv) nv = dw + 1;
+      const std::uint32_t* e = exceptions.at(d, w);
+      const std::uint32_t dw = e != nullptr ? *e : near.ref(w, d);  // the first ring
+      if (dw != kUnreachable) nv = std::min(nv, dw + 1);
     }
-    if (nv >= dist(v)) continue;  // no improvement for this destination
+    if (nv == kUnreachable) continue;  // d cannot reach any restored neighbor
     stamp[v] = era;
     best[v] = nv;
-    relax.push({nv, v});
-    while (!relax.empty()) {
-      const auto [t, u] = relax.top();
-      relax.pop();
-      if (t != best[u] || stamp[u] != era) continue;  // stale entry
-      deltas.push_back({u, d, t});
+    ref_dist[v] = near.ref(v, d);
+    ref_wit[v] = DistanceWitness{};
+    queue.assign(1, v);
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const NodeId u = queue[head];
+      const std::uint32_t t = best[u];
+      deltas.push_back({u, d, t == ref_dist[u] ? kAtReference : t});
       for (const NodeId x : graph_.neighbors(u)) {
-        const std::uint32_t cur_x = stamp[x] == era ? best[x] : dist(x);
-        if (t + 1 < cur_x) {
-          stamp[x] = era;
-          best[x] = t + 1;
-          relax.push({t + 1, x});
+        if (stamp[x] == era) continue;  // improved already, at distance <= t + 1
+        const std::uint32_t* old_x = exceptions.at(d, x);
+        // Without an exception x sits at its reference distance already,
+        // which no subgraph of the shape can beat.
+        if (old_x == nullptr || t + 1 >= *old_x) continue;
+        stamp[x] = era;
+        best[x] = t + 1;
+        queue.push_back(x);
+        // Is t + 1 still an exception? The reference distance of x is at
+        // most R(u) + 1 <= t + 1: strictly below when u is, else one capped
+        // probe from u's position decides.
+        ref_wit[x] = DistanceWitness{};
+        if (near.contains(x)) {
+          ref_dist[x] = near.ref(x, d);
+        } else if (ref_dist[u] != t) {
+          ref_dist[x] = kUnreachable;
+        } else {
+          if (stepper.node() != u) stepper.seed(u, t, ref_wit[u]);
+          ref_dist[x] = stepper.probe_adjacent(x, 0, t + 1, &ref_wit[x]);
+          ++patch_evaluations_;
         }
       }
     }
   }
 
-  merge_deltas(deltas);
+  return deltas;
 }
 
 // --- ImplicitRouter ----------------------------------------------------------
@@ -793,23 +1106,12 @@ std::uint32_t next_route_cache_id() {
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
-// The implicit backend's per-shape plumbing, shared by the scalar and batched
-// paths via templates over the topology steppers. Neighbor enumeration goes
-// into a fixed stack array — the algebraic degree is <= 2m <= 32 on every
-// packed shape (wider bases take the next_hop_wide fallback), and SE is <= 3.
+// The implicit backend's scalar and batched paths share the per-shape
+// plumbing (DebruijnShapeOps / ShuffleExchangeShapeOps) via templates over
+// the topology steppers. Neighbor enumeration goes into a fixed stack array —
+// the algebraic degree is <= 2m <= 32 on every packed shape (wider bases take
+// the next_hop_wide fallback), and SE is <= 3.
 constexpr int kMaxFixedDegree = 32;
-
-struct DebruijnShapeOps {
-  using Stepper = DebruijnDistanceStepper;
-  DeBruijnParams params;
-  Stepper make(NodeId dest) const { return Stepper(params, dest); }
-};
-
-struct ShuffleExchangeShapeOps {
-  using Stepper = ShuffleExchangeDistanceStepper;
-  unsigned h;
-  Stepper make(NodeId dest) const { return Stepper(h, dest); }
-};
 
 // Canonical hop from the stepper's current node: the algebraic enumeration
 // produces exactly the graph's sorted adjacency, so the first neighbor whose
@@ -1018,7 +1320,7 @@ NodeId ImplicitRouter::next_hop(NodeId dest, NodeId node) const {
   if (node == dest) return dest;
   if (shape_ == Shape::DeBruijn) {
     if (2 * db_.base > kMaxFixedDegree) return next_hop_wide(dest, node);
-    return scalar_next_hop(DebruijnShapeOps{db_}, dest, node);
+    return scalar_next_hop(debruijn_ops(db_, n_), dest, node);
   }
   return scalar_next_hop(ShuffleExchangeShapeOps{se_h_}, dest, node);
 }
@@ -1045,7 +1347,7 @@ void ImplicitRouter::route_many(std::span<const NodeId> dests, std::span<const N
       for (std::size_t i = 0; i < dests.size(); ++i) out[i] = next_hop(dests[i], nodes[i]);
       return;
     }
-    route_many_impl(DebruijnShapeOps{db_}, cache_id_, n_, dests, nodes, out);
+    route_many_impl(debruijn_ops(db_, n_), cache_id_, n_, dests, nodes, out);
     return;
   }
   route_many_impl(ShuffleExchangeShapeOps{se_h_}, cache_id_, n_, dests, nodes, out);
@@ -1062,7 +1364,7 @@ void ImplicitRouter::route_many(std::span<const NodeId> dests, std::span<const N
       for (std::size_t i = 0; i < dests.size(); ++i) out[i] = next_hop(dests[i], nodes[i]);
       return;
     }
-    route_many_hinted_impl(DebruijnShapeOps{db_}, n_, dests, nodes, out, hints);
+    route_many_hinted_impl(debruijn_ops(db_, n_), n_, dests, nodes, out, hints);
     return;
   }
   route_many_hinted_impl(ShuffleExchangeShapeOps{se_h_}, n_, dests, nodes, out, hints);
@@ -1076,7 +1378,7 @@ void ImplicitRouter::distance_many(std::span<const NodeId> dests, std::span<cons
       for (std::size_t i = 0; i < dests.size(); ++i) out[i] = distance(dests[i], nodes[i]);
       return;
     }
-    distance_many_impl(DebruijnShapeOps{db_}, cache_id_, n_, dests, nodes, out);
+    distance_many_impl(debruijn_ops(db_, n_), cache_id_, n_, dests, nodes, out);
     return;
   }
   distance_many_impl(ShuffleExchangeShapeOps{se_h_}, cache_id_, n_, dests, nodes, out);
@@ -1086,7 +1388,7 @@ std::vector<NodeId> ImplicitRouter::path(NodeId from, NodeId dest) const {
   if (from >= n_ || dest >= n_) return {};
   if (shape_ == Shape::DeBruijn) {
     if (2 * db_.base > kMaxFixedDegree) return Router::path(from, dest);
-    return path_impl(DebruijnShapeOps{db_}, from, dest);
+    return path_impl(debruijn_ops(db_, n_), from, dest);
   }
   return path_impl(ShuffleExchangeShapeOps{se_h_}, from, dest);
 }

@@ -181,7 +181,9 @@ class CompressedRouter final : public Router {
   /// build (0 = hardware concurrency). Both modes produce storage
   /// bit-identical to a serial build: shape-delta chunks concatenate in
   /// destination order, and run-length chunks stitch by dropping each chunk's
-  /// boundary runs that merely continue the previous chunk's final hop.
+  /// boundary runs that merely continue the previous chunk's final hop. A
+  /// graph that *equals* its reference shape (a healthy machine) skips the
+  /// scans: it has no exceptions by definition.
   explicit CompressedRouter(const Graph& g, unsigned build_threads = 1);
 
   RouterBackend backend() const override { return RouterBackend::Compressed; }
@@ -211,6 +213,10 @@ class CompressedRouter final : public Router {
     unsigned reference_digits = 0;      // h of the reference shape
     std::size_t tracked_faults = 0;     // faults applied through apply_fault
     std::uint64_t state_hash = 0;       // FNV-1a over the exception/run arrays
+    /// Reference-algebra evaluations (stepper probes and scans, one per
+    /// (dest, node) pair) done by the last apply_fault / retract_fault; 0
+    /// before the first patch. Work accounting only: not in state_hash.
+    std::uint64_t patch_evaluations = 0;
   };
   Stats stats() const;
 
@@ -218,13 +224,40 @@ class CompressedRouter final : public Router {
   /// and patches the exception table so the router is exactly the router of
   /// the degraded graph. Shape-delta mode only (throws std::logic_error in
   /// run-length mode); throws std::invalid_argument when `v` is out of range
-  /// or already retired. Cost is O(changed pairs + N * deg^2), versus the
-  /// O(N * (N + E)) from-scratch rebuild.
+  /// or already retired.
+  ///
+  /// Every old distance is the stored exception, else the reference
+  /// distance. The exception table is read through a per-node cursor that
+  /// only moves forward with the destination loop. Reference distances of
+  /// the nodes within three hops of v (at most 64 beyond the first ring)
+  /// come from one bit-parallel BFS of the shape rooted at all of them (the
+  /// shape is undirected, so a root's row is its distance to every
+  /// destination). v's old BFS row gives old_v per destination and each
+  /// node's hop count from v. A node whose every shortest path runs through
+  /// v sits at old_v plus that hop count, which settles most cascade
+  /// neighbors outright. The rest are reference-stepper probe_adjacent()
+  /// calls from the cascade node, capped to the one question asked: "one hop
+  /// closer?" for a live parent, "same level or child?" for a neighbor of an
+  /// affected node. New distances only grow, so every changed pair is an
+  /// exception and the merge evaluates nothing. Cost is O(ball * (N + E) /
+  /// 64 + changed pairs * deg^2) plus the probes, versus the O(N * (N + E))
+  /// rebuild.
   void apply_fault(NodeId v);
 
   /// Reverses `apply_fault(v)`: restores v's reference-shape edges towards
   /// every non-retired neighbor and retracts the now-stale exceptions.
   /// Throws std::invalid_argument when `v` is not currently retired.
+  ///
+  /// Relaxes outward from v per destination: a BFS, since every edge weighs
+  /// one and v is the only source. A node without an old exception already
+  /// sits at its reference distance, the floor for any subgraph of the
+  /// shape, so it cannot improve: the relaxation follows the exception table
+  /// alone and never evaluates the algebra for it. Whether an improved node's
+  /// new distance is still an exception comes from reference-shape BFS rows
+  /// of the nodes within two hops of v, from its BFS parent (a parent still
+  /// below its new distance bounds the child below too), or else from one
+  /// probe_adjacent() from the parent. The row of destination v compares one
+  /// BFS of the restored graph against the reference row of v.
   void retract_fault(NodeId v);
 
   /// Faults applied through apply_fault and not yet retracted, sorted.
@@ -235,15 +268,28 @@ class CompressedRouter final : public Router {
  private:
   enum class Reference { None, DeBruijn, ShuffleExchange };
 
+  /// DistDelta::dist for a pair whose new distance equals the reference
+  /// algebra's: the merge erases its entry. (No real distance reaches it: it
+  /// would take a path of 2^32 - 1 nodes.)
+  static constexpr std::uint32_t kAtReference = 0xFFFFFFFEu;
+
   struct DistDelta {
     NodeId node;
     NodeId dest;
-    std::uint32_t dist;  // new exact distance (may be unreachable)
+    std::uint32_t dist;  // new exact distance (may be unreachable), or kAtReference
   };
 
   std::uint32_t reference_distance(NodeId dest, NodeId node) const;
   void reference_neighbors(NodeId x, std::vector<NodeId>& out) const;
-  void merge_deltas(std::vector<DistDelta>& deltas);
+  template <class Ops>
+  void build_shape_delta(const Ops& ops, const Graph& g, unsigned threads);
+  /// The patch loops: every changed (node, dest) pair, destination-major.
+  /// repair_deltas also restores v's edges in graph_ first.
+  template <class Ops>
+  std::vector<DistDelta> fault_deltas(const Ops& ops, NodeId v);
+  template <class Ops>
+  std::vector<DistDelta> repair_deltas(const Ops& ops, NodeId v);
+  void merge_deltas(const std::vector<DistDelta>& deltas);
   void rebuild_graph(NodeId v, const std::vector<NodeId>& add_neighbors, bool removing);
 
   std::size_t n_ = 0;
@@ -255,6 +301,7 @@ class CompressedRouter final : public Router {
   // per-node exception CSR, sorted by destination.
   Graph graph_;
   std::vector<NodeId> faulty_;  // nodes retired via apply_fault, sorted
+  std::uint64_t patch_evaluations_ = 0;  // see Stats::patch_evaluations
   std::vector<std::size_t> exception_offsets_;
   std::vector<NodeId> exception_dest_;
   std::vector<std::uint32_t> exception_dist_;

@@ -439,6 +439,7 @@ void DebruijnDistanceStepper::retarget(NodeId dest) {
   }
   node_ = kInvalidNode;
   opt_valid_ = false;
+  near_valid_ = false;
 }
 
 std::uint32_t DebruijnDistanceStepper::reset(NodeId node) {
@@ -446,6 +447,7 @@ std::uint32_t DebruijnDistanceStepper::reset(NodeId node) {
   node_ = node;
   wit_.offset = 0;
   opt_valid_ = false;
+  near_valid_ = false;
   if (mode_ == Mode::kGeneric) {
     dist_ = (node == dest_) ? 0 : generic_distance_scan(params_.base, h_, node, dest_, kUncapped,
                                                         &wit_.offset);
@@ -462,6 +464,7 @@ void DebruijnDistanceStepper::seed(NodeId node, std::uint32_t dist, const Distan
   dist_ = dist;
   wit_ = witness;
   opt_valid_ = false;
+  near_valid_ = false;
   if (mode_ != Mode::kGeneric) {
     px_ = (mode_ == Mode::kBits) ? node : pack_digits(node, params_.base, h_);
   }
@@ -495,6 +498,7 @@ DebruijnDistanceStepper::Neighbor DebruijnDistanceStepper::derive(NodeId neighbo
 
 std::uint32_t DebruijnDistanceStepper::step(NodeId neighbor) {
   opt_valid_ = false;
+  near_valid_ = false;
   if (mode_ == Mode::kGeneric) {
     node_ = neighbor;
     dist_ = (neighbor == dest_) ? 0 : generic_distance_scan(params_.base, h_, neighbor, dest_,
@@ -536,6 +540,7 @@ void DebruijnDistanceStepper::advance(NodeId neighbor, std::uint32_t dist,
   dist_ = dist;
   wit_ = witness;
   opt_valid_ = false;
+  near_valid_ = false;
 }
 
 int DebruijnDistanceStepper::probe_neighbors(ProbeNeighbor* out) const {
@@ -623,6 +628,73 @@ void DebruijnDistanceStepper::advance_pre(const ProbeNeighbor& nb, std::uint32_t
   wit_ = witness;
   opt_ = opt;
   opt_valid_ = use_opt_ && opt != 0;
+  near_valid_ = false;
+}
+
+// Collect {f : cost(f) == dist_ + 1}: every member has |f| <= dist_ + 1 and
+// the parity of dist_ + 1, so about dist_ + 2 evaluations.
+void DebruijnDistanceStepper::collect_near() const {
+  near_ = 0;
+  const int d = static_cast<int>(dist_) + 1;
+  const int fmax = std::min(d, h_);
+  for (int f = -fmax + ((fmax ^ d) & 1); f <= fmax; f += 2) {
+    if (packed_cost_at(px_, py_, h_, db_, f) == d) near_ |= std::uint64_t{1} << (f + h_);
+  }
+  near_valid_ = true;
+}
+
+std::uint32_t DebruijnDistanceStepper::probe_adjacent(NodeId neighbor, std::uint32_t floor,
+                                                      std::uint32_t cap,
+                                                      DistanceWitness* witness) const {
+  if (!use_opt_ || dist_ == 0) return probe_witness(neighbor, cap, witness);
+  const int r = static_cast<int>(dist_);
+  // The neighbor sits in [lo, top]: one hop either way, the caller's floor,
+  // and the pure-shift bound h on every distance.
+  const int top = r < h_ ? r + 1 : r;
+  const int lo = std::max(r - 1, static_cast<int>(std::min<std::uint32_t>(floor, dist_ + 1)));
+  const int c = static_cast<int>(std::min<std::uint32_t>(cap, dist_ + 1));
+  const Neighbor nb = derive(neighbor);
+  const int dir = nb.hint - wit_.offset;  // -1: left shift, +1: right shift
+  // The neighbor's cost at offset f is the current node's cost at f - dir
+  // plus or minus one (the parity flips with |f|), so it reaches r - 1 only
+  // next to an optimal offset and r only next to a near-optimal one (cost
+  // r + 1); everywhere else it pays r + 1.
+  const auto first_hit = [&](std::uint64_t mask, int target) {
+    std::uint64_t cands = dir < 0 ? (mask >> 1) : (mask << 1);
+    while (cands != 0) {
+      const int f = __builtin_ctzll(cands) - h_;
+      cands &= cands - 1;
+      if (f >= -target && f <= target && packed_cost_at(nb.packed, py_, h_, db_, f) == target) {
+        if (witness != nullptr) witness->offset = f;
+        return true;
+      }
+    }
+    return false;
+  };
+  if (lo <= r - 1 && c >= r - 1) {
+    if (!opt_valid_) {
+      // A hinted offset that already proves r - 1 (the common "one hop
+      // closer" answer when the witness is optimal) needs no mask.
+      if (std::abs(nb.hint) <= r - 1 && packed_cost_at(nb.packed, py_, h_, db_, nb.hint) == r - 1) {
+        if (witness != nullptr) witness->offset = nb.hint;
+        return dist_ - 1;
+      }
+      collect_opt();
+    }
+    if (first_hit(opt_, r - 1)) return dist_ - 1;
+  }
+  if (lo <= r && c >= r && r < top) {
+    if (!near_valid_) collect_near();
+    if (first_hit(near_, r)) return dist_;
+  }
+  // Every value below top that the window allows has been refuted. At
+  // distance() + 1 each optimal offset moved with the hop is optimal for the
+  // neighbor; otherwise the witness is only a hint.
+  if (witness != nullptr) {
+    witness->offset =
+        opt_valid_ && opt_ != 0 ? __builtin_ctzll(opt_) - h_ + dir : nb.hint;
+  }
+  return c >= top ? static_cast<std::uint32_t>(top) : static_cast<std::uint32_t>(c) + 1;
 }
 
 std::uint64_t debruijn_exact_root(std::uint64_t n, unsigned h) {

@@ -154,6 +154,18 @@ class DebruijnDistanceStepper {
   void seed_opt(NodeId node, std::uint32_t dist, const DistanceWitness& witness,
                 std::uint64_t opt);
 
+  /// probe_witness() for a caller that knows d(neighbor, dest) >= floor:
+  /// d(neighbor, dest) if it is <= cap, else some value > cap (cap >=
+  /// distance() + 1 makes it exact). Each offset's cost moves by exactly one
+  /// per hop, so the neighbor can reach distance() - 1 only next to the
+  /// current node's optimal offsets (cost == distance()) and distance() only
+  /// next to its near-optimal ones (cost == distance() + 1): the probe
+  /// evaluates just those, skipping whichever the floor and cap rule out, and
+  /// both masks are collected once per position and shared by every neighbor
+  /// probed from it.
+  std::uint32_t probe_adjacent(NodeId neighbor, std::uint32_t floor, std::uint32_t cap,
+                               DistanceWitness* witness) const;
+
   /// The set {f : cost of the winning walk constrained to window offset f
   /// == distance()} as a bitmask (bit index f + h), or 0 when not currently
   /// known. A neighbor one hop closer must win at an offset adjacent to one
@@ -174,6 +186,7 @@ class DebruijnDistanceStepper {
   };
   Neighbor derive(NodeId neighbor) const;
   void collect_opt() const;
+  void collect_near() const;
 
   DeBruijnParams params_;
   std::uint64_t n_ = 0;
@@ -191,6 +204,10 @@ class DebruijnDistanceStepper {
   // opt_valid_ — the next probe_pre recollects in O(dist) evaluations.
   mutable std::uint64_t opt_ = 0;
   mutable bool opt_valid_ = false;
+  // Near-optimal mask {f : cost(f) == dist_ + 1} (bit f + h_), collected on
+  // the first probe_adjacent() at a position that needs it.
+  mutable std::uint64_t near_ = 0;
+  mutable bool near_valid_ = false;
   bool use_opt_ = false;  // packed mode and h <= 31 (mask fits 2h+1 bits)
   int h_ = 0;
   int db_ = 1;  // bits per packed digit: 1 (base 2) or 4 (m <= 16)

@@ -114,6 +114,15 @@ class ShuffleExchangeDistanceStepper {
   void seed_opt(NodeId node, std::uint32_t dist, const DistanceWitness& witness,
                 std::uint64_t opt);
 
+  /// The de Bruijn stepper's probe_adjacent() contract (d(neighbor, dest)
+  /// if <= cap, else some value > cap; the caller guarantees >= floor), so
+  /// the router's repair template runs on either shape. SE has no offset
+  /// parity to exploit: this is the capped probe, and the floor is unused.
+  std::uint32_t probe_adjacent(NodeId neighbor, std::uint32_t /*floor*/, std::uint32_t cap,
+                               DistanceWitness* witness) const {
+    return probe_witness(neighbor, cap, witness);
+  }
+
   /// The set {rho : cost of the winning tour constrained to final alignment
   /// rho == distance()} as a bitmask (bit index rho), or 0 when not
   /// currently known. Each move remaps alignments by at most one rotation,

@@ -247,6 +247,54 @@ TEST(DeBruijn, StepperProbeRespectsCapAndExactness) {
   }
 }
 
+TEST(DeBruijn, StepperProbeAdjacentHonorsFloorAndCapExhaustively) {
+  // Every (dest, node, neighbor) triple of the small packed shapes (bits and
+  // nibbles) plus one generic-scan shape: the mask-driven neighbor probe must
+  // be exact at or below the cap and above it otherwise, for every floor the
+  // caller may legally claim, whether the stepper was positioned by a full
+  // scan (optimal witness) or seeded without a witness. Probing every
+  // neighbor from one position also exercises the shared masks.
+  const DeBruijnParams shapes[] = {{2, 3}, {2, 5}, {2, 7}, {3, 3}, {3, 4},
+                                   {4, 3}, {5, 3}, {17, 2}};
+  std::vector<NodeId> nbrs;
+  for (const DeBruijnParams& params : shapes) {
+    const std::uint64_t n = debruijn_num_nodes(params);
+    const std::uint64_t dest_step = n > 256 ? 7 : 1;
+    for (std::uint64_t y = 0; y < n; y += dest_step) {
+      DebruijnDistanceStepper stepper(params, static_cast<NodeId>(y));
+      for (std::uint64_t x = 0; x < n; ++x) {
+        const std::uint32_t here =
+            debruijn_distance(params, static_cast<NodeId>(x), static_cast<NodeId>(y));
+        debruijn_neighbors(params, static_cast<NodeId>(x), nbrs);
+        for (const bool scanned : {true, false}) {
+          for (std::uint32_t cap = (here > 0 ? here - 1 : 0); cap <= here + 1; ++cap) {
+            if (scanned) {
+              stepper.reset(static_cast<NodeId>(x));
+            } else {
+              stepper.seed(static_cast<NodeId>(x), here, DistanceWitness{});
+            }
+            for (const NodeId w : nbrs) {
+              const std::uint32_t want = debruijn_distance(params, w, static_cast<NodeId>(y));
+              for (const std::uint32_t floor : {0u, want}) {
+                DistanceWitness wit;
+                const std::uint32_t got = stepper.probe_adjacent(w, floor, cap, &wit);
+                if (want <= cap) {
+                  ASSERT_EQ(got, want) << "m=" << params.base << " h=" << params.digits
+                                       << " x=" << x << " y=" << y << " w=" << w
+                                       << " floor=" << floor << " cap=" << cap;
+                } else {
+                  ASSERT_GT(got, cap) << "m=" << params.base << " h=" << params.digits
+                                      << " x=" << x << " y=" << y << " w=" << w;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(DeBruijn, StepperRandomWalkAgreesWithFormula) {
   // 10k random-walk steps per shape: step() (hinted O(h) updates) must track
   // the canonical formula exactly, including the nibble-packed bases.

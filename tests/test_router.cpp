@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <memory>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -510,43 +511,114 @@ Graph degraded_graph(const Graph& target, const std::vector<NodeId>& faults) {
   return b.build();
 }
 
+/// The graph an incrementally maintained CompressedRouter routes on:
+/// apply_fault(v) removes every edge at v, and retract_fault(v) restores v's
+/// edges of the reference shape `target` towards every non-faulty peer
+/// (including a link that was missing from the starting graph).
+class LiveGraphModel {
+ public:
+  LiveGraphModel(const Graph& target, const Graph& start)
+      : target_(target), faulty_(target.num_nodes(), false) {
+    for (NodeId u = 0; u < start.num_nodes(); ++u) {
+      for (const NodeId w : start.neighbors(u)) {
+        if (u < w) edges_.insert({u, w});
+      }
+    }
+  }
+
+  void fault(NodeId v) {
+    faulty_[v] = true;
+    for (const NodeId w : target_.neighbors(v)) edges_.erase({std::min(v, w), std::max(v, w)});
+  }
+  void repair(NodeId v) {
+    faulty_[v] = false;
+    for (const NodeId w : target_.neighbors(v)) {
+      if (!faulty_[w]) edges_.insert({std::min(v, w), std::max(v, w)});
+    }
+  }
+  Graph graph() const {
+    GraphBuilder b(target_.num_nodes());
+    for (const auto& [u, w] : edges_) b.add_edge(u, w);
+    return b.build();
+  }
+
+ private:
+  const Graph& target_;
+  std::vector<bool> faulty_;
+  std::set<std::pair<NodeId, NodeId>> edges_;
+};
+
+struct ChainSpec {
+  unsigned max_faults = 3;
+  int events = 30;
+  std::uint64_t seed = 1;
+  /// Half of the new faults land next to an outstanding one, so the patched
+  /// node's neighborhood has holes in it.
+  bool adjacent_faults = false;
+  /// When the all-pairs BFS oracle runs; the scratch build's state hash is
+  /// checked after every event regardless.
+  enum class Oracle { kEveryEvent, kFinal, kScratchOnly };
+  Oracle oracle = Oracle::kEveryEvent;
+};
+
 /// Drives a random fault/repair chain through one incrementally-maintained
-/// CompressedRouter and, after EVERY event, checks it is indistinguishable
-/// from a from-scratch build over the same degraded graph: identical
-/// canonical state (exception count + state hash) and hop-for-hop identical
-/// answers against the BFS oracle.
-void run_incremental_chain(const Graph& target, unsigned max_faults, int events,
-                           std::uint64_t seed, const std::string& context) {
-  CompressedRouter inc(target);
+/// CompressedRouter built on `start` (a subgraph of the reference shape
+/// `target`) and, after EVERY event, checks it is indistinguishable from a
+/// from-scratch build over the same live graph: identical canonical state
+/// (exception count + state hash). spec.oracle adds hop-for-hop identical
+/// answers against the BFS oracle after every event or at the end.
+void run_incremental_chain(const Graph& target, const Graph& start, const ChainSpec& spec,
+                           const std::string& context) {
+  CompressedRouter inc(start);
   ASSERT_TRUE(inc.uses_reference_shape()) << context;
-  ASSERT_EQ(inc.num_exceptions(), 0u) << context;
-  std::mt19937_64 rng(seed);
+  ASSERT_TRUE(inc.tracked_faults().empty()) << context;
+  LiveGraphModel live(target, start);
+  std::mt19937_64 rng(spec.seed);
   std::vector<NodeId> faults;
   const auto n = static_cast<NodeId>(target.num_nodes());
-  for (int e = 0; e < events; ++e) {
-    const bool repair = !faults.empty() && (faults.size() >= max_faults || rng() % 3 == 0);
+  const auto is_fault = [&](NodeId x) {
+    return std::find(faults.begin(), faults.end(), x) != faults.end();
+  };
+  Graph g = start;
+  for (int e = 0; e < spec.events; ++e) {
+    const bool repair =
+        !faults.empty() && (faults.size() >= spec.max_faults || rng() % 3 == 0);
     if (repair) {
       const std::size_t idx = rng() % faults.size();
       const NodeId v = faults[idx];
       faults.erase(faults.begin() + static_cast<std::ptrdiff_t>(idx));
       inc.retract_fault(v);
+      live.repair(v);
     } else {
       NodeId v = static_cast<NodeId>(rng() % n);
-      while (std::find(faults.begin(), faults.end(), v) != faults.end()) {
-        v = static_cast<NodeId>(rng() % n);
+      if (spec.adjacent_faults && !faults.empty() && rng() % 2 == 0) {
+        const auto nb = target.neighbors(faults[rng() % faults.size()]);
+        v = nb[rng() % nb.size()];
       }
+      while (is_fault(v)) v = static_cast<NodeId>(rng() % n);
       faults.push_back(v);
       inc.apply_fault(v);
+      live.fault(v);
     }
     std::vector<NodeId> sorted_faults = faults;
     std::sort(sorted_faults.begin(), sorted_faults.end());
     ASSERT_EQ(inc.tracked_faults(), sorted_faults) << context << " event " << e;
-    const Graph g = degraded_graph(target, faults);
+    g = live.graph();
     const CompressedRouter scratch(g);
     ASSERT_EQ(inc.num_exceptions(), scratch.num_exceptions()) << context << " event " << e;
     ASSERT_EQ(inc.stats().state_hash, scratch.stats().state_hash) << context << " event " << e;
-    expect_equivalent(g, {&inc, &scratch}, context + " event " + std::to_string(e));
+    if (spec.oracle == ChainSpec::Oracle::kEveryEvent) {
+      expect_equivalent(g, {&inc, &scratch}, context + " event " + std::to_string(e));
+    }
   }
+  if (spec.oracle == ChainSpec::Oracle::kFinal) expect_equivalent(g, {&inc}, context + " final");
+}
+
+void run_incremental_chain(const Graph& target, unsigned max_faults, int events,
+                           std::uint64_t seed, const std::string& context) {
+  ASSERT_EQ(CompressedRouter(target).num_exceptions(), 0u) << context;
+  run_incremental_chain(target, target, {.max_faults = max_faults, .events = events, .seed = seed},
+                        context);
 }
 
 TEST(CompressedIncremental, DeBruijnChainsMatchScratchBuilds) {
@@ -558,6 +630,79 @@ TEST(CompressedIncremental, DeBruijnChainsMatchScratchBuilds) {
 TEST(CompressedIncremental, ShuffleExchangeChainsMatchScratchBuilds) {
   run_incremental_chain(shuffle_exchange_graph(4), 3, 25, 21, "SE_4");
   run_incremental_chain(shuffle_exchange_graph(5), 4, 30, 22, "SE_5");
+}
+
+// On these shapes the near-fault ball (three hops for a fault, two for a
+// repair) is a strict subset of the graph, so the repair also runs its
+// exception-table and stepper-probe paths, with up to six outstanding faults
+// and adjacent fault pairs.
+TEST(CompressedIncremental, ChainsBeyondTheNearFaultBallMatchScratchBuilds) {
+  const ChainSpec spec{.max_faults = 6, .events = 40, .adjacent_faults = true,
+                       .oracle = ChainSpec::Oracle::kFinal};
+  ChainSpec b28 = spec;
+  b28.seed = 31;
+  run_incremental_chain(debruijn_base2(8), debruijn_base2(8), b28, "B(2,8)");
+  const Graph b44 = debruijn_graph({.base = 4, .digits = 4});
+  ChainSpec b44_spec = spec;
+  b44_spec.seed = 32;
+  run_incremental_chain(b44, b44, b44_spec, "B(4,4)");
+  ChainSpec se8 = spec;
+  se8.seed = 33;
+  run_incremental_chain(shuffle_exchange_graph(8), shuffle_exchange_graph(8), se8, "SE_8");
+}
+
+// Bases above 16 fall outside the packed label range (the stepper's generic
+// scan), and B_{33,2}'s degree-65 nodes give a ball (first ring plus center)
+// wider than one 64-root BFS batch.
+TEST(CompressedIncremental, WideBaseChainsMatchScratchBuilds) {
+  const Graph b17 = debruijn_graph({.base = 17, .digits = 2});
+  run_incremental_chain(b17, b17, {.max_faults = 4, .events = 12, .seed = 41,
+                                   .adjacent_faults = true, .oracle = ChainSpec::Oracle::kFinal},
+                        "B(17,2)");
+  // One fault (node 1047, degree 65) and its repair: both balls take two
+  // BFS batches.
+  const Graph b33 = debruijn_graph({.base = 33, .digits = 2});
+  run_incremental_chain(b33, b33, {.max_faults = 1, .events = 2, .seed = 42,
+                                   .oracle = ChainSpec::Oracle::kScratchOnly},
+                        "B(33,2)");
+}
+
+TEST(CompressedIncremental, ChainFromALinkDegradedBuildMatchesScratchBuilds) {
+  // Links missing from the start graph put exceptions in the table before
+  // the first patch; a repair of either endpoint brings its link back.
+  const Graph target = debruijn_base2(7);
+  GraphBuilder b(target.num_nodes());
+  std::size_t dropped = 0;
+  for (NodeId u = 0; u < target.num_nodes(); ++u) {
+    for (const NodeId w : target.neighbors(u)) {
+      if (u >= w) continue;
+      if ((u * 7 + w) % 23 == 0 && target.degree(u) > 2 && target.degree(w) > 2) {
+        ++dropped;
+        continue;
+      }
+      b.add_edge(u, w);
+    }
+  }
+  const Graph start = b.build();
+  ASSERT_GT(dropped, 0u);
+  ASSERT_GT(CompressedRouter(start).num_exceptions(), 0u);
+  run_incremental_chain(target, start,
+                        {.max_faults = 5, .events = 40, .seed = 51, .adjacent_faults = true,
+                         .oracle = ChainSpec::Oracle::kFinal},
+                        "link-degraded B(2,7)");
+}
+
+TEST(CompressedIncremental, PatchesCountTheirReferenceEvaluations) {
+  // Work accounting rides in Stats but stays out of the state hash.
+  const Graph target = debruijn_base2(8);
+  CompressedRouter r(target);
+  EXPECT_EQ(r.stats().patch_evaluations, 0u);
+  r.apply_fault(77);
+  const auto applied = r.stats();
+  EXPECT_GT(applied.patch_evaluations, 0u);
+  EXPECT_EQ(applied.state_hash, CompressedRouter(degraded_graph(target, {77})).stats().state_hash);
+  r.retract_fault(77);
+  EXPECT_EQ(r.stats().state_hash, CompressedRouter(target).stats().state_hash);
 }
 
 TEST(CompressedIncremental, ExceptionGrowthStaysNearFTimesH) {
@@ -674,6 +819,43 @@ TEST(ParallelBuild, MakeRouterPassesBuildThreadsThrough) {
   const auto table = make_router(g, opts);
   EXPECT_EQ(table->backend(), RouterBackend::Table);
   expect_equivalent(g, {table.get(), compressed}, "make_router build_threads=3");
+}
+
+TEST(CompressedHealthy, ShapeEqualGraphsBuildWithoutTheSweep) {
+  // A graph equal to its reference shape has no exceptions by definition, so
+  // the constructor skips the per-destination BFS sweep. The result must be
+  // exact, identical for every build_threads, and the same canonical state a
+  // fault-and-repair cycle returns to.
+  std::vector<std::pair<Graph, std::string>> shapes;
+  for (unsigned h = 4; h <= 8; ++h) {
+    shapes.emplace_back(debruijn_base2(h), "B(2," + std::to_string(h) + ")");
+  }
+  shapes.emplace_back(debruijn_graph({.base = 3, .digits = 3}), "B(3,3)");
+  shapes.emplace_back(debruijn_graph({.base = 4, .digits = 3}), "B(4,3)");
+  for (unsigned h = 4; h <= 8; ++h) {
+    shapes.emplace_back(shuffle_exchange_graph(h), "SE_" + std::to_string(h));
+  }
+  for (const auto& [g, name] : shapes) {
+    std::uint64_t hash = 0;
+    for (const unsigned threads : {1u, 3u, 0u}) {
+      const std::string context = name + " threads=" + std::to_string(threads);
+      const CompressedRouter healthy(g, threads);
+      ASSERT_TRUE(healthy.uses_reference_shape()) << context;
+      EXPECT_EQ(healthy.num_exceptions(), 0u) << context;
+      EXPECT_TRUE(healthy.tracked_faults().empty()) << context;
+      if (threads == 1) {
+        hash = healthy.stats().state_hash;
+        expect_equivalent(g, {&healthy}, context);
+      }
+      EXPECT_EQ(healthy.stats().state_hash, hash) << context;
+      CompressedRouter cycled(g, threads);
+      const auto v = static_cast<NodeId>(g.num_nodes() / 3);
+      cycled.apply_fault(v);
+      cycled.retract_fault(v);
+      EXPECT_EQ(cycled.stats().state_hash, hash) << context;
+      EXPECT_EQ(cycled.num_exceptions(), 0u) << context;
+    }
+  }
 }
 
 TEST(CompressedIncremental, ScratchBuildFromDegradedGraphAdoptsIsolatedNodes) {

@@ -8,11 +8,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ft/ft_debruijn.hpp"
@@ -235,6 +237,53 @@ TEST(Serve, EpochsAreReclaimedWithoutPinnedReaders) {
   }
   // Readers pin only for a query's duration, so old epochs must not pile up.
   EXPECT_EQ(service.stats().epochs_live, 1u);
+}
+
+TEST(Serve, ReadersRegisterAndDropDuringAMutationStream) {
+  // Registration claims a slot without the writer lock, so readers that come
+  // and go mid-stream are never parked behind a mutation. Every answer stays
+  // a real physical node, and every slot comes back when its reader drops.
+  ReconfigurationService service(db_config(6, 4));
+  const auto n = static_cast<NodeId>(service.num_logical_nodes());
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> registrations{0};
+  std::atomic<std::uint64_t> bad_answers{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      std::mt19937_64 rng(static_cast<std::uint64_t>(t) + 1);
+      while (!stop.load()) {
+        const auto reader = service.reader();
+        registrations.fetch_add(1);
+        for (int q = 0; q < 4; ++q) {
+          const auto dest = static_cast<NodeId>(rng() % n);
+          const auto node = static_cast<NodeId>(rng() % n);
+          if (reader.next_hop(dest, node) >= service.num_physical_nodes()) {
+            bad_answers.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  // Keep mutating until the readers have cycled through many registrations.
+  for (int i = 0; i < 40 || registrations.load() < 300; ++i) {
+    const auto v = static_cast<NodeId>((i * 11 + 3) % n);
+    ASSERT_EQ(service.fault({FaultKind::kNode, v, 0}), MutationStatus::kAccepted);
+    ASSERT_EQ(service.repair(v), MutationStatus::kRepaired);
+  }
+  stop.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(bad_answers.load(), 0u);
+
+  // Every slot was released: exactly kMaxReaders registrations fit again,
+  // the next one throws, and dropping one frees a slot.
+  std::vector<ReconfigurationService::Reader> held;
+  for (std::size_t i = 0; i < ReconfigurationService::kMaxReaders; ++i) {
+    held.push_back(service.reader());
+  }
+  EXPECT_THROW(service.reader(), std::runtime_error);
+  held.pop_back();
+  EXPECT_NO_THROW(service.reader());
 }
 
 TEST(Serve, SnapshotKeepsEpochAliveAcrossMutations) {
