@@ -3,11 +3,15 @@
 // The campaign runner is the production workload multiplier (every scenario
 // re-runs construction, fault drawing, reconfiguration checks and survivor
 // metrics thousands of times), so its per-trial cost is the number to watch.
+#include <unistd.h>
+
 #include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <string>
+#include <vector>
 
 #include "analysis/bench_registry.hpp"
+#include "campaign/elastic/elastic.hpp"
+#include "campaign/elastic/partial.hpp"
 #include "campaign/report.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/scenario.hpp"
@@ -74,11 +78,11 @@ FTDB_BENCH(campaign_grid, "perf_campaign/grid_2topo_x3k_x2models") {
   ctx.report("total_successes", successes);
 }
 
-// --- work-stealing scheduler ------------------------------------------------
+// --- block pool, compaction snapshot, cell-filtered directories -------------
 
-/// A 12-cell grid of 1024-trial cells: 48 blocks through the global deques.
-/// Serial on purpose, like everything above — this measures the scheduler's
-/// per-block overhead (deque traffic, in-order merge bookkeeping), not
+/// A 12-cell grid of 1024-trial cells: 48 blocks through the block pool.
+/// Serial on purpose, like everything above — this measures the pool's
+/// per-block overhead (cursor traffic, in-order merge bookkeeping), not
 /// machine parallelism the bench runner's own pool would fight with.
 FTDB_BENCH(campaign_sched, "perf_campaign/steal_12cells_x4blocks_serial") {
   ScenarioSpec spec = base_spec(1024);
@@ -93,7 +97,7 @@ FTDB_BENCH(campaign_sched, "perf_campaign/steal_12cells_x4blocks_serial") {
                                            num_trial_blocks(spec.trials)));
 }
 
-/// Block-granular checkpoint serialization: snapshot -> JSON -> reparse for a
+/// The elastic compaction snapshot (compacted.ckpt): JSON -> reparse for a
 /// mid-flight campaign shape (every cell a merged prefix + one parked block).
 FTDB_BENCH(campaign_ckpt, "perf_campaign/checkpoint_roundtrip_24cells") {
   ScenarioSpec spec = base_spec(256);
@@ -122,9 +126,10 @@ FTDB_BENCH(campaign_ckpt, "perf_campaign/checkpoint_roundtrip_24cells") {
   ctx.report("cells_reparsed", static_cast<double>(cells));
 }
 
-/// The distributed path end to end: two shard runs plus the fingerprint- and
-/// coverage-checked merge, with the merged report's byte-identity to the
-/// single-machine run reported as a metric (1.0 = identical).
+/// The distributed path end to end: two cell-filtered elastic directories
+/// plus the fingerprint- and coverage-checked merge, with the merged
+/// report's byte-identity to the single-machine run reported as a metric
+/// (1.0 = identical).
 FTDB_BENCH(campaign_shard, "perf_campaign/shard2_run_merge") {
   ScenarioSpec spec = base_spec(512);
   spec.topologies = {{TopologyFamily::DeBruijn, 2, 4},
@@ -133,20 +138,23 @@ FTDB_BENCH(campaign_shard, "perf_campaign/shard2_run_merge") {
   spec.fault_models = {{FaultModelKind::IidBernoulli, 0.03, 1.0, 100.0, 1.0}};
   const std::string reference = campaign_report_json(run_campaign(spec, {.threads = 1}));
 
-  const std::string dir = std::filesystem::temp_directory_path().string();
-  std::vector<Checkpoint> partials;
+  const std::filesystem::path root =
+      std::filesystem::temp_directory_path() /
+      std::string("ftdb_perf_cells_").append(std::to_string(::getpid()));
+  std::vector<std::string> dirs;
   for (std::uint32_t s = 0; s < 2; ++s) {
-    CampaignOptions options;
+    elastic::ElasticOptions options;
+    options.dir = (root / std::to_string(s)).string();
+    options.worker_id = "bench";
     options.threads = 1;
-    options.shard = {s, 2};
-    options.checkpoint_path = dir + "/ftdb_perf_shard" + std::to_string(s) + ".ckpt";
-    run_campaign(spec, options);
-    std::ifstream in(options.checkpoint_path, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    partials.push_back(parse_checkpoint(buf.str()));
+    options.cells = {s, 2};
+    options.fsync = false;
+    std::filesystem::remove_all(options.dir);
+    elastic::run_elastic_worker(spec, options);
+    dirs.push_back(options.dir);
   }
-  const CampaignResult merged = merge_checkpoints(spec, partials);
+  const CampaignResult merged = elastic::merge_elastic(spec, dirs);
+  std::filesystem::remove_all(root);
   ctx.report("merge_byte_identical",
              campaign_report_json(merged) == reference ? 1.0 : 0.0);
   ctx.report("shards", 2.0);

@@ -3,14 +3,13 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
-#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <ostream>
 #include <sstream>
@@ -119,10 +118,6 @@ ElasticProgress load_elastic_progress(const ScenarioSpec& spec, const std::strin
       throw std::runtime_error("elastic: " + ckpt_path(dir) +
                                " belongs to a different spec (fingerprint mismatch)");
     }
-    if (!ckpt.shard.whole_campaign()) {
-      throw std::runtime_error("elastic: " + ckpt_path(dir) +
-                               " is a shard checkpoint, not an elastic compaction");
-    }
     for (const CellProgress& cp : ckpt.cells) {
       if (cp.scenario_index >= cells.size()) {
         throw std::runtime_error("elastic: checkpoint cell " +
@@ -196,7 +191,8 @@ ElasticProgress load_elastic_progress(const ScenarioSpec& spec, const std::strin
 
 bool compact_elastic_dir(const ScenarioSpec& spec, const std::string& dir,
                          const std::string& worker_id, BlockLog* own_log,
-                         std::uint64_t lease_ttl_seconds, bool fsync) {
+                         std::uint64_t lease_ttl_seconds, bool fsync,
+                         const CellRunners& runners, ElasticProgress* folded) {
   Lease lock = Lease::try_acquire(compact_lease_path(dir), worker_id, lease_ttl_seconds);
   if (!lock.held()) return false;  // someone else is compacting; theirs covers our records
 
@@ -204,16 +200,22 @@ bool compact_elastic_dir(const ScenarioSpec& spec, const std::string& dir,
   const std::uint64_t total_blocks = num_trial_blocks(spec.trials);
   ElasticProgress progress = load_elastic_progress(spec, dir);
 
-  Checkpoint ckpt;  // whole-campaign shard; stamps derived by the serializer
+  Checkpoint ckpt;  // the fingerprint is derived by the serializer
   for (std::size_t i = 0; i < cells.size(); ++i) {
     CellProgress& cp = progress.cells[i];
     if (cp.prefix_blocks == 0 && cp.extra.empty()) continue;
     if (cp.prefix_blocks == total_blocks && progress.finalized[i] == 0) {
       // A checkpointed complete prefix is finalized by convention; cells
       // completed by log records still carry raw accumulators.
-      CellRunner(spec, cells[i]).finalize(cp.prefix);
+      const auto built = runners.find(i);
+      if (built != runners.end()) {
+        built->second->finalize(cp.prefix);
+      } else {
+        CellRunner(spec, cells[i]).finalize(cp.prefix);
+      }
+      progress.finalized[i] = 1;
     }
-    ckpt.cells.push_back(std::move(cp));
+    ckpt.cells.push_back(cp);
   }
   // Write the new snapshot BEFORE truncating any log: a crash between the
   // two leaves duplicate records, which dedup makes harmless; the reverse
@@ -221,18 +223,49 @@ bool compact_elastic_dir(const ScenarioSpec& spec, const std::string& dir,
   io::replace_file(ckpt_path(dir), checkpoint_to_json(spec, ckpt), fsync);
   if (own_log != nullptr) own_log->truncate_all();
   lock.release();
+  if (folded != nullptr) *folded = std::move(progress);
   return true;
 }
+
+namespace {
+
+/// One cell this worker holds a lease on.
+struct HeldCell {
+  Lease lease;
+  std::uint64_t blocks_left = 0;  ///< queued blocks not yet appended
+  std::uint64_t blocks_run = 0;
+  bool lost = false;              ///< the heartbeat found the lease reclaimed
+  std::once_flag built;
+  std::unique_ptr<CellRunner> runner;  ///< built by the first block that runs
+};
+
+/// Not-yet-durable blocks of one cell, in block order.
+std::vector<std::uint64_t> missing_blocks(const CellProgress& cp, std::uint64_t total_blocks) {
+  std::vector<std::uint64_t> missing;
+  std::size_t extra_at = 0;
+  for (std::uint64_t b = cp.prefix_blocks; b < total_blocks; ++b) {
+    while (extra_at < cp.extra.size() && cp.extra[extra_at].first < b) ++extra_at;
+    if (extra_at < cp.extra.size() && cp.extra[extra_at].first == b) continue;
+    missing.push_back(b);
+  }
+  return missing;
+}
+
+}  // namespace
 
 ElasticResult run_elastic_worker(const ScenarioSpec& spec, const ElasticOptions& options) {
   if (options.dir.empty()) throw std::runtime_error("elastic: no directory given");
   const std::vector<ScenarioCase> cells = expand_grid(spec);
   validate_spec(spec, cells);
+  validate_shard(options.cells, cells.size());
   const std::uint64_t spec_fp = spec_fingerprint(spec);
   const std::uint64_t total_blocks = num_trial_blocks(spec.trials);
   const std::string worker_id =
       options.worker_id.empty() ? default_worker_id() : options.worker_id;
   const std::uint64_t ttl = std::max<std::uint64_t>(1, options.lease_ttl_seconds);
+  const unsigned threads = options.threads == 0
+                               ? std::max(1u, std::thread::hardware_concurrency())
+                               : options.threads;
 
   ensure_elastic_dir(spec, options.dir);
   BlockLog log(own_log_path(options.dir, worker_id), spec_fp, options.fsync);
@@ -240,150 +273,182 @@ ElasticResult run_elastic_worker(const ScenarioSpec& spec, const ElasticOptions&
   // them (and anyone else's) forward before claiming anything.
   compact_elastic_dir(spec, options.dir, worker_id, &log, ttl, options.fsync);
 
-  const std::vector<std::size_t> order = cost_order(spec, cells);
-  unsigned threads = options.threads == 0
-                         ? std::max(1u, std::thread::hardware_concurrency())
-                         : options.threads;
+  std::vector<std::size_t> order;
+  for (const std::size_t idx : cost_order(spec, cells)) {
+    if (options.cells.owns(idx)) order.push_back(idx);
+  }
 
+  // `mu` guards everything below it, the block log and the lease files.
+  std::mutex mu;
   ElasticResult res;
-  for (;;) {
-    ElasticProgress progress = load_elastic_progress(spec, options.dir);
-    bool all_complete = true;
-    for (const CellProgress& cp : progress.cells) {
-      all_complete = all_complete && cp.prefix_blocks == total_blocks;
-    }
-    if (all_complete) {
-      // Final fold: finalizes every completed-by-log cell and leaves one
-      // checkpoint that IS the campaign (merge reads it straight off).
-      compact_elastic_dir(spec, options.dir, worker_id, &log, ttl, options.fsync);
-      res.campaign_complete = true;
-      return res;
-    }
+  std::map<std::size_t, std::shared_ptr<HeldCell>> held;
+  std::map<std::size_t, std::shared_ptr<HeldCell>> finished;  // not yet compacted
+  bool aborted = false;
 
-    bool worked = false;
+  auto compact = [&](ElasticProgress* folded) {
+    CellRunners runners;
+    for (const auto& [idx, cell] : finished) {
+      if (cell->runner != nullptr) runners.emplace(idx, cell->runner.get());
+    }
+    if (!compact_elastic_dir(spec, options.dir, worker_id, &log, ttl, options.fsync, runners,
+                             folded)) {
+      return false;
+    }
+    finished.clear();
+    return true;
+  };
+  auto all_durable = [&](const ElasticProgress& progress) {
+    return std::all_of(order.begin(), order.end(), [&](std::size_t idx) {
+      return progress.cells[idx].prefix_blocks == total_blocks;
+    });
+  };
+
+  // One claim sweep: compact what finished, then lease cells in cost order
+  // until the new cells bring at least `threads` unstarted blocks. Cells
+  // claimed once are not claimed again in the same pool run.
+  std::vector<char> claimed(cells.size(), 0);
+  auto sweep = [&](std::vector<BlockUnit>& more) {
+    const std::lock_guard<std::mutex> lock(mu);
+    if (aborted) return;
+    ElasticProgress progress;
+    if (finished.empty() || !compact(&progress)) {
+      progress = load_elastic_progress(spec, options.dir);
+    }
+    std::vector<std::size_t> fresh;
+    bool any_reclaimed = false;
+    std::uint64_t expected = 0;
     for (const std::size_t idx : order) {
-      if (progress.cells[idx].prefix_blocks == total_blocks) continue;
+      if (expected >= threads) break;
+      if (claimed[idx] != 0 || progress.cells[idx].prefix_blocks == total_blocks) continue;
       bool reclaimed = false;
       Lease lease =
           Lease::try_acquire(cell_lease_path(options.dir, idx), worker_id, ttl, &reclaimed);
       if (reclaimed) ++res.leases_reclaimed;
+      any_reclaimed = any_reclaimed || reclaimed;
       if (!lease.held()) continue;
+      claimed[idx] = 1;
       ++res.cells_leased;
-      worked = true;
-
-      // Re-read progress now that the cell is ours: a previous (possibly
-      // dead) holder may have made more blocks durable than our last scan saw.
-      progress = load_elastic_progress(spec, options.dir);
-      const CellProgress& cp = progress.cells[idx];
-      std::vector<std::uint64_t> remaining;
-      {
-        std::size_t extra_at = 0;
-        for (std::uint64_t b = cp.prefix_blocks; b < total_blocks; ++b) {
-          while (extra_at < cp.extra.size() && cp.extra[extra_at].first < b) ++extra_at;
-          if (extra_at < cp.extra.size() && cp.extra[extra_at].first == b) continue;
-          remaining.push_back(b);
-        }
-      }
-      res.blocks_skipped += total_blocks - remaining.size();
-
-      // Heartbeat from a dedicated thread at ttl/3, so long blocks cannot
-      // starve the lease into looking dead.
-      std::mutex hb_mu;
-      std::condition_variable hb_cv;
-      bool hb_stop = false;
-      std::atomic<bool> lost{false};
-      std::thread heartbeat([&] {
-        const auto interval = std::chrono::milliseconds(std::max<std::uint64_t>(ttl * 1000 / 3, 100));
-        std::unique_lock<std::mutex> lk(hb_mu);
-        while (!hb_cv.wait_for(lk, interval, [&] { return hb_stop; })) {
-          lk.unlock();
-          try {
-            lease.heartbeat();
-          } catch (...) {
-            // LeaseLost or I/O trouble: stop running this cell. Everything
-            // already appended is durable; duplicates by the reclaimer merge
-            // away.
-            lost.store(true);
-          }
-          lk.lock();
-          if (lost.load()) return;
-        }
-      });
-
-      CellRunner runner(spec, cells[idx]);
-      std::atomic<std::size_t> next{0};
-      std::atomic<bool> abort_all{false};
-      std::uint64_t cell_blocks_run = 0;
-      std::mutex log_mu;
-      std::mutex fail_mu;
-      std::exception_ptr block_failure;
-      auto block_worker = [&] {
-        try {
-          for (;;) {
-            if (lost.load() || abort_all.load()) return;
-            const std::size_t i = next.fetch_add(1);
-            if (i >= remaining.size()) return;
-            const ScenarioResult partial = runner.run_block(remaining[i]);
-            const std::lock_guard<std::mutex> lk(log_mu);
-            if (abort_all.load()) return;  // the crash hook fired mid-compute
-            log.append({idx, remaining[i], partial});
-            ++cell_blocks_run;
-            if (options.stop_after_blocks != 0 &&
-                res.blocks_run + cell_blocks_run >= options.stop_after_blocks) {
-              abort_all.store(true);
-            }
-          }
-        } catch (...) {
-          const std::lock_guard<std::mutex> lk(fail_mu);
-          if (!block_failure) block_failure = std::current_exception();
-          abort_all.store(true);
-        }
-      };
-      {
-        const unsigned pool_size = static_cast<unsigned>(
-            std::min<std::size_t>(threads, std::max<std::size_t>(remaining.size(), 1)));
-        std::vector<std::thread> pool;
-        pool.reserve(pool_size);
-        for (unsigned t = 0; t < pool_size; ++t) pool.emplace_back(block_worker);
-        for (std::thread& t : pool) t.join();
-      }
-      {
-        const std::lock_guard<std::mutex> lk(hb_mu);
-        hb_stop = true;
-      }
-      hb_cv.notify_all();
-      heartbeat.join();
-      res.blocks_run += cell_blocks_run;
-
-      if (block_failure) {
-        lease.release();  // let someone else take over; our blocks are durable
-        std::rethrow_exception(block_failure);
-      }
-      if (options.stop_after_blocks != 0 && res.blocks_run >= options.stop_after_blocks) {
-        lease.abandon();  // simulated hard crash: the lease file stays behind
-        throw ElasticAborted(res.blocks_run);
-      }
-      if (lost.load()) {
-        lease.abandon();  // not ours anymore; rescan and move on
-        break;
-      }
-
-      lease.release();
-      compact_elastic_dir(spec, options.dir, worker_id, &log, ttl, options.fsync);
-      if (options.progress != nullptr) {
-        *options.progress << "[" << worker_id << "] " << cells[idx].label() << ": ran "
-                          << cell_blocks_run << "/" << total_blocks << " blocks\n";
-      }
-      break;  // rescan from a fresh progress snapshot
+      expected += missing_blocks(progress.cells[idx], total_blocks).size();
+      auto cell = std::make_shared<HeldCell>();
+      cell->lease = std::move(lease);
+      held.emplace(idx, std::move(cell));
+      fresh.push_back(idx);
     }
+    if (fresh.empty()) return;
+    // A reclaimed cell's dead holder may have made more blocks durable than
+    // the first read saw: re-read now that the cells are ours. (A holder that
+    // released a cell between the read and the claim may leave a block or
+    // two to be run twice; the copies are identical and dedupe.)
+    if (any_reclaimed) progress = load_elastic_progress(spec, options.dir);
+    for (const std::size_t idx : fresh) {
+      HeldCell& cell = *held.at(idx);
+      const std::vector<std::uint64_t> missing =
+          missing_blocks(progress.cells[idx], total_blocks);
+      res.blocks_skipped += total_blocks - missing.size();
+      cell.blocks_left = missing.size();
+      if (missing.empty()) {
+        cell.lease.release();
+        held.erase(idx);
+        continue;
+      }
+      for (const std::uint64_t b : missing) more.push_back({idx, b});
+    }
+    res.max_cells_held = std::max<std::uint64_t>(res.max_cells_held, held.size());
+  };
 
-    if (!worked) {
+  auto run_unit = [&](const BlockUnit& u) {
+    std::shared_ptr<HeldCell> cell;
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      if (aborted) return;
+      cell = held.at(u.cell);
+      if (cell->lost) return;
+    }
+    std::call_once(cell->built,
+                   [&] { cell->runner = std::make_unique<CellRunner>(spec, cells[u.cell]); });
+    const ScenarioResult partial = cell->runner->run_block(u.block);
+
+    const std::lock_guard<std::mutex> lock(mu);
+    if (aborted || cell->lost) return;  // the crash hook fired mid-compute
+    log.append({u.cell, u.block, partial});
+    ++res.blocks_run;
+    ++cell->blocks_run;
+    if (options.stop_after_blocks != 0 && res.blocks_run >= options.stop_after_blocks) {
+      aborted = true;
+      throw ElasticAborted(res.blocks_run);
+    }
+    if (--cell->blocks_left > 0) return;
+    cell->lease.release();
+    if (options.progress != nullptr) {
+      *options.progress << "[" << worker_id << "] " << cells[u.cell].label() << ": ran "
+                        << cell->blocks_run << "/" << total_blocks << " blocks\n";
+    }
+    finished.emplace(u.cell, std::move(cell));
+    held.erase(u.cell);
+  };
+
+  // One heartbeat thread for every held lease, at ttl/3, so long blocks
+  // cannot starve a lease into looking dead.
+  std::condition_variable hb_cv;
+  bool hb_stop = false;
+  std::thread heartbeat([&] {
+    const auto interval =
+        std::chrono::milliseconds(std::max<std::uint64_t>(ttl * 1000 / 3, 100));
+    std::unique_lock<std::mutex> lk(mu);
+    while (!hb_cv.wait_for(lk, interval, [&] { return hb_stop; })) {
+      for (auto& [idx, cell] : held) {
+        if (cell->lost) continue;
+        try {
+          cell->lease.heartbeat();
+        } catch (...) {
+          // LeaseLost or I/O trouble: stop running this cell. Everything
+          // already appended is durable; duplicates by the reclaimer merge
+          // away.
+          cell->lost = true;
+          cell->lease.abandon();
+        }
+      }
+    }
+  });
+  auto stop_heartbeat = [&] {
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      hb_stop = true;
+    }
+    hb_cv.notify_all();
+    heartbeat.join();
+  };
+
+  try {
+    for (;;) {
+      std::fill(claimed.begin(), claimed.end(), 0);
+      run_block_pool(threads, {}, order.size() * total_blocks, run_unit, sweep);
+      {
+        const std::lock_guard<std::mutex> lock(mu);
+        held.clear();  // only cells whose lease was lost are left
+      }
+      if (all_durable(load_elastic_progress(spec, options.dir))) break;
       // Every incomplete cell is leased by a live worker: poll until they
       // finish (or die and their leases age out).
       std::this_thread::sleep_for(
           std::chrono::milliseconds(static_cast<std::int64_t>(options.poll_seconds * 1000)));
     }
+  } catch (const ElasticAborted&) {
+    // Simulated hard crash: the lease files stay behind.
+    stop_heartbeat();
+    for (auto& [idx, cell] : held) cell->lease.abandon();
+    throw;
+  } catch (...) {
+    stop_heartbeat();
+    throw;  // held leases release as `held` unwinds; appended blocks are durable
   }
+  stop_heartbeat();
+  // Final fold: finalizes every completed-by-log cell (with the runners of
+  // the cells this worker finished) and leaves one snapshot that IS the
+  // campaign (merge reads it straight off).
+  compact(nullptr);
+  res.campaign_complete = true;
+  return res;
 }
 
 }  // namespace ftdb::campaign::elastic

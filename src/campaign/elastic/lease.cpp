@@ -220,9 +220,11 @@ Lease Lease::try_acquire(const std::string& path, const std::string& worker_id,
       io_fail("link", path);
     }
 
-    // Held. Stale or garbled stamps are reclaimable; fresh ones are not.
+    // Held. Stale or garbled stamps are reclaimable; fresh ones are not,
+    // unless they carry our own worker id: that holder is a crashed earlier
+    // run of this worker (live processes never share an id).
     const std::optional<LeaseStamp> holder = read_lease(path);
-    if (holder.has_value() &&
+    if (holder.has_value() && holder->worker != worker_id &&
         lease_now_secs() < holder->heartbeat_secs + holder->ttl_secs) {
       return {};  // live holder
     }

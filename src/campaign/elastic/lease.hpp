@@ -1,4 +1,4 @@
-// Shard leasing for the elastic campaign service.
+// Cell leasing for the elastic campaign service.
 //
 // A lease is one file in the shared checkpoint directory whose *existence*
 // means "some worker is running this cell" and whose JSON stamp says who and
@@ -89,9 +89,10 @@ class Lease {
   void abandon() { held_ = false; }
 
   /// Attempts to claim `path` for `worker_id`. Returns a non-held Lease when
-  /// a live worker holds it; reclaims first (and sets *reclaimed) when the
-  /// current stamp is stale or garbled. Throws std::runtime_error on I/O
-  /// failure.
+  /// another live worker holds it; reclaims first (and sets *reclaimed) when
+  /// the current stamp is stale, garbled, or stamped with `worker_id` itself
+  /// (a crashed earlier run of this worker). Throws std::runtime_error on
+  /// I/O failure.
   static Lease try_acquire(const std::string& path, const std::string& worker_id,
                            std::uint64_t ttl_secs, bool* reclaimed = nullptr);
 

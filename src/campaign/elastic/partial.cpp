@@ -1,5 +1,6 @@
 #include "campaign/elastic/partial.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "analysis/bench_json.hpp"
@@ -8,23 +9,34 @@ namespace ftdb::campaign::elastic {
 
 using analysis::JsonWriter;
 
-CampaignResult merge_elastic(const ScenarioSpec& spec, const std::string& dir) {
+CampaignResult merge_elastic(const ScenarioSpec& spec, const std::vector<std::string>& dirs) {
+  if (dirs.empty()) throw std::runtime_error("elastic merge: no directory given");
   const std::vector<ScenarioCase> cells = expand_grid(spec);
   const std::uint64_t total_blocks = num_trial_blocks(spec.trials);
-  ElasticProgress progress = load_elastic_progress(spec, dir);
+  std::vector<ElasticProgress> progress;
+  for (const std::string& dir : dirs) {
+    if (spec_fingerprint(load_elastic_spec(dir)) != spec_fingerprint(spec)) {
+      throw std::runtime_error("elastic merge: " + dir +
+                               " hosts a different campaign (spec fingerprint mismatch)");
+    }
+    progress.push_back(load_elastic_progress(spec, dir));
+  }
 
   CampaignResult result;
   result.spec = spec;
   result.scenarios.resize(cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    CellProgress& cp = progress.cells[i];
-    if (cp.prefix_blocks != total_blocks) {
+    std::size_t from = 0;
+    while (from < dirs.size() && progress[from].cells[i].prefix_blocks != total_blocks) ++from;
+    if (from == dirs.size()) {
+      std::uint64_t best = 0;
+      for (const ElasticProgress& p : progress) best = std::max(best, p.cells[i].prefix_blocks);
       throw std::runtime_error("elastic merge: cell " + std::to_string(i) + " (" +
-                               cells[i].label() + ") is incomplete (" +
-                               std::to_string(cp.prefix_blocks) + "/" +
-                               std::to_string(total_blocks) +
+                               cells[i].label() + ") is incomplete (" + std::to_string(best) +
+                               "/" + std::to_string(total_blocks) +
                                " blocks durable) — use merge --partial for a live snapshot");
     }
+    CellProgress& cp = progress[from].cells[i];
     if (cp.prefix.trials != spec.trials) {
       throw std::runtime_error("elastic merge: cell " + std::to_string(i) + " carries " +
                                std::to_string(cp.prefix.trials) + " trials, expected " +
@@ -32,7 +44,7 @@ CampaignResult merge_elastic(const ScenarioSpec& spec, const std::string& dir) {
     }
     // Cells whose last blocks arrived after the final compaction (or when no
     // compaction ran at all) still carry raw accumulators.
-    if (progress.finalized[i] == 0) CellRunner(spec, cells[i]).finalize(cp.prefix);
+    if (progress[from].finalized[i] == 0) CellRunner(spec, cells[i]).finalize(cp.prefix);
     result.scenarios[i] = std::move(cp.prefix);
   }
   return result;

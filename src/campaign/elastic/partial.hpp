@@ -1,10 +1,12 @@
 // Live partial results and the final merge for elastic campaigns.
 //
 // `merge_elastic` is the end-of-campaign read: it requires every cell's
-// blocks to be durable and produces the CampaignResult a serial
-// run_campaign of the same spec would — byte-identical reports, including
-// across lease reclaims and crashed workers, because blocks are
-// counter-based deterministic and merges fold them in block order.
+// blocks to be durable in one of the given directories and produces the
+// CampaignResult a serial run_campaign of the same spec would —
+// byte-identical reports, including across lease reclaims, crashed workers
+// and campaigns split by cell filter into several directories, because
+// blocks are counter-based deterministic and merges fold them in block
+// order.
 //
 // `partial_elastic_report_json` can be taken at ANY moment of a live
 // campaign: it emits a valid "ftdb-campaign-v1" document over whatever
@@ -17,15 +19,18 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "campaign/elastic/elastic.hpp"
 #include "campaign/runner.hpp"
 
 namespace ftdb::campaign::elastic {
 
-/// Merges a *complete* elastic directory into the campaign result. Throws
-/// std::runtime_error naming the first incomplete cell otherwise.
-CampaignResult merge_elastic(const ScenarioSpec& spec, const std::string& dir);
+/// Merges the elastic directories of one campaign into its result. Every
+/// directory must host `spec`, and every cell must be complete in at least
+/// one of them (a cell complete in several is taken from the first). Throws
+/// std::runtime_error naming the first violation otherwise.
+CampaignResult merge_elastic(const ScenarioSpec& spec, const std::vector<std::string>& dirs);
 
 /// Point-in-time partial report over the durable blocks of a (possibly
 /// still running) elastic campaign. Always valid; never throws merely

@@ -46,70 +46,6 @@ std::string csv_num(double v) {
 
 }  // namespace
 
-CampaignResult merge_checkpoints(const ScenarioSpec& spec,
-                                 const std::vector<Checkpoint>& partials) {
-  if (partials.empty()) throw std::runtime_error("campaign merge: no partials given");
-  const std::vector<ScenarioCase> cells = expand_grid(spec);
-  const std::uint64_t spec_fp = spec_fingerprint(spec);
-  const std::uint64_t total_blocks = num_trial_blocks(spec.trials);
-
-  CampaignResult result;
-  result.spec = spec;
-  result.scenarios.resize(cells.size());
-  std::vector<bool> seen(cells.size(), false);
-
-  for (std::size_t p = 0; p < partials.size(); ++p) {
-    const Checkpoint& ckpt = partials[p];
-    const std::string who = "partial " + std::to_string(p) + " (shard " + ckpt.shard.label() + ")";
-    if (ckpt.fingerprint != spec_fp) {
-      throw std::runtime_error("campaign merge: " + who +
-                               " was produced by a different spec (fingerprint mismatch)");
-    }
-    if (ckpt.shard_stamp != shard_fingerprint(spec, ckpt.shard)) {
-      throw std::runtime_error("campaign merge: " + who +
-                               " carries a shard stamp that does not match its coordinates");
-    }
-    for (const CellProgress& cp : ckpt.cells) {
-      if (cp.scenario_index >= cells.size()) {
-        throw std::runtime_error("campaign merge: " + who + " has scenario index " +
-                                 std::to_string(cp.scenario_index) + " outside the grid");
-      }
-      if (!ckpt.shard.owns(cp.scenario_index)) {
-        throw std::runtime_error("campaign merge: " + who + " contains cell " +
-                                 std::to_string(cp.scenario_index) + " it does not own");
-      }
-      if (seen[cp.scenario_index]) {
-        throw std::runtime_error("campaign merge: overlapping shards — cell " +
-                                 std::to_string(cp.scenario_index) +
-                                 " appears in more than one partial");
-      }
-      if (cp.prefix_blocks != total_blocks) {
-        throw std::runtime_error("campaign merge: " + who + " cell " +
-                                 std::to_string(cp.scenario_index) + " is incomplete (" +
-                                 std::to_string(cp.prefix_blocks) + "/" +
-                                 std::to_string(total_blocks) + " blocks)");
-      }
-      if (cp.prefix.trials != spec.trials) {
-        // A cell can claim all its blocks yet carry a truncated accumulator
-        // (torn write, hand-mangled file); the same invariant resume checks.
-        throw std::runtime_error("campaign merge: " + who + " cell " +
-                                 std::to_string(cp.scenario_index) + " carries " +
-                                 std::to_string(cp.prefix.trials) + " trials, expected " +
-                                 std::to_string(spec.trials));
-      }
-      seen[cp.scenario_index] = true;
-      result.scenarios[cp.scenario_index] = cp.prefix;
-    }
-  }
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (!seen[i]) {
-      throw std::runtime_error("campaign merge: cell " + std::to_string(i) + " (" +
-                               cells[i].label() + ") is covered by no partial");
-    }
-  }
-  return result;
-}
-
 std::string campaign_report_json(const CampaignResult& result) {
   JsonWriter w;
   w.begin_object();
@@ -117,9 +53,9 @@ std::string campaign_report_json(const CampaignResult& result) {
   w.value("ftdb-campaign-v1");
   w.key("spec");
   write_scenario_spec(w, result.spec);
-  // Run telemetry (thread count, resumed-scenario count) stays out of the
-  // document on purpose: the report must be byte-identical across thread
-  // counts and checkpoint/resume boundaries.
+  // Run telemetry (thread count, resumed blocks) stays out of the document on
+  // purpose: the report must be byte-identical across thread counts and
+  // crash/resume boundaries.
   w.key("scenarios");
   w.begin_array();
   for (const ScenarioResult& r : result.scenarios) write_scenario_result(w, r);
@@ -182,9 +118,12 @@ std::string campaign_report_markdown(const CampaignResult& result) {
                      "E[faults]", "diam", "mttf", "analytic mttf", "slowdown", "delivered"});
   for (const ScenarioResult& r : result.scenarios) {
     const WilsonInterval ci = r.success_ci();
+    // Appended, not `"[" + fmt(...)`: gcc 12 inlines operator+(const char*,
+    // string&&) into a memcpy it then misreports under -Wrestrict.
+    std::string wilson = "[";
+    wilson.append(fmt(ci.lo)).append(", ").append(fmt(ci.hi)).append("]");
     t.add_row({r.label, analysis::fmt_u64(r.trials), analysis::fmt_u64(r.reconfig_success),
-               fmt(r.success_rate()),
-               "[" + fmt(ci.lo) + ", " + fmt(ci.hi) + "]",
+               fmt(r.success_rate()), wilson,
                fmt(r.analytic_survival), fmt_mean(r.fault_count),
                fmt_mean(r.reconfigured_diameter), fmt_mean(r.mttf, 1),
                fmt(r.analytic_mttf, 1), fmt_mean(r.collective_slowdown, 4),

@@ -2,19 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
-#include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 
@@ -29,7 +26,6 @@
 #include "graph/algorithms.hpp"
 #include "graph/bus_graph.hpp"
 #include "graph/subgraph.hpp"
-#include "io/framed_log.hpp"
 #include "sim/engine.hpp"
 #include "sim/network.hpp"
 #include "sim/reconfigured_routing.hpp"
@@ -119,7 +115,7 @@ void ScenarioResult::merge(const ScenarioResult& other) {
   traffic_timed_out += other.traffic_timed_out;
   // Merge the sorted sparse slowdown curves (the runner merges blocks in
   // order, so the slowdown_sum additions happen in a fixed order and the
-  // doubles come out bit-identical for any thread count or shard split).
+  // doubles come out bit-identical for any thread count or cell split).
   std::vector<SlowdownPoint> merged_slowdown;
   merged_slowdown.reserve(slowdown_curve.size() + other.slowdown_curve.size());
   {
@@ -490,7 +486,7 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
     std::optional<sim::SimStats> stats;
     if (success) {
       stats = sim::run_packets(*reconfigured, ctx.target, packets,
-                               {.max_cycles = ctx.traffic_max_cycles});
+                               {.max_cycles = ctx.traffic_max_cycles, .router = {}});
     } else {
       std::vector<NodeId> hit;
       for (const NodeId f : draw.faults.nodes()) {
@@ -500,7 +496,7 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
         const sim::Machine degraded = sim::Machine::direct_with_faults(
             ctx.target, FaultSet(n_nodes, std::move(hit)));
         stats = sim::run_packets(degraded, ctx.target, packets,
-                                 {.max_cycles = ctx.traffic_max_cycles});
+                                 {.max_cycles = ctx.traffic_max_cycles, .router = {}});
       }
       // else: every target node dead — nothing can inject; scored below.
     }
@@ -537,8 +533,8 @@ void fold_histogram(ScenarioResult& acc, const BlockScratch& scratch) {
 }
 
 /// Runs one complete trial block of a cell and returns its partial
-/// accumulator — the unit both the work-stealing scheduler and the elastic
-/// CellRunner execute. Reads the context only, so any number of threads can
+/// accumulator — the unit both run_campaign and the elastic CellRunner
+/// execute. Reads the context only, so any number of threads can
 /// run different blocks of the same cell concurrently.
 ScenarioResult run_one_block(const ScenarioContext& ctx, std::uint64_t total_trials,
                              std::uint64_t block) {
@@ -580,7 +576,7 @@ double exact_iid_mttf(std::uint64_t n, unsigned spares, double p) {
 }
 
 /// Fills the cell-level metadata and analytic companions on a fully-merged
-/// accumulator — shared by the scheduler's cell finalization and the elastic
+/// accumulator — shared by run_campaign's cell finalization and the elastic
 /// runner/merge paths (which must produce byte-identical reports).
 void finalize_result(const ScenarioContext& ctx, const ScenarioCase& cell, ScenarioResult& r) {
   r.scenario_index = cell.index;
@@ -820,7 +816,7 @@ ScenarioResult parse_scenario_result(const JsonValue& obj) {
   return r;
 }
 
-// --- checkpoint (de)serialization -------------------------------------------
+// --- compaction snapshot (de)serialization -----------------------------------
 
 std::string checkpoint_to_json(const ScenarioSpec& spec, const Checkpoint& ckpt) {
   JsonWriter w;
@@ -831,14 +827,16 @@ std::string checkpoint_to_json(const ScenarioSpec& spec, const Checkpoint& ckpt)
   // parser's double representation.
   w.key("fingerprint");
   w.value(fingerprint_hex(spec_fingerprint(spec)));
+  // The whole-campaign shard object the v2 format carries; its stamp equals
+  // the spec fingerprint.
   w.key("shard");
   w.begin_object();
   w.key("index");
-  w.value(static_cast<std::uint64_t>(ckpt.shard.index));
+  w.value(std::uint64_t{0});
   w.key("count");
-  w.value(static_cast<std::uint64_t>(ckpt.shard.count));
+  w.value(std::uint64_t{1});
   w.key("fingerprint");
-  w.value(fingerprint_hex(shard_fingerprint(spec, ckpt.shard)));
+  w.value(fingerprint_hex(spec_fingerprint(spec)));
   w.end_object();
   // The block size the partials were cut with: partials from a different
   // partition cannot be merged in order, so parse rejects a mismatch.
@@ -876,25 +874,6 @@ std::string checkpoint_to_json(const ScenarioSpec& spec, const Checkpoint& ckpt)
   return w.str();
 }
 
-std::string checkpoint_to_json(const ScenarioSpec& spec,
-                               const std::vector<ScenarioResult>& completed) {
-  // fingerprint/shard_stamp stay default: the serializer derives both stamps
-  // from the spec itself, never from the struct (no forgeable fields).
-  Checkpoint ckpt;
-  for (const ScenarioResult& r : completed) {
-    CellProgress cell;
-    cell.scenario_index = r.scenario_index;
-    cell.prefix_blocks = num_trial_blocks(spec.trials);
-    cell.prefix = r;
-    ckpt.cells.push_back(std::move(cell));
-  }
-  std::sort(ckpt.cells.begin(), ckpt.cells.end(),
-            [](const CellProgress& a, const CellProgress& b) {
-              return a.scenario_index < b.scenario_index;
-            });
-  return checkpoint_to_json(spec, ckpt);
-}
-
 Checkpoint parse_checkpoint(const std::string& json_text) {
   const JsonValue doc = analysis::json_parse(json_text);
   const JsonValue* schema = doc.find("schema");
@@ -906,12 +885,12 @@ Checkpoint parse_checkpoint(const std::string& json_text) {
   if (uint_of(doc, "trial_block") != kTrialBlock) {
     throw std::runtime_error("campaign: checkpoint was cut with a different trial block size");
   }
+  const JsonValue& shard = doc.at("shard");
+  if (uint_of(shard, "index") != 0 || uint_of(shard, "count") > 1) {
+    throw std::runtime_error("campaign: checkpoint covers one shard, not the whole campaign");
+  }
   Checkpoint ckpt;
   ckpt.fingerprint = std::strtoull(doc.at("fingerprint").string.c_str(), nullptr, 16);
-  const JsonValue& shard = doc.at("shard");
-  ckpt.shard.index = static_cast<std::uint32_t>(uint_of(shard, "index"));
-  ckpt.shard.count = static_cast<std::uint32_t>(uint_of(shard, "count"));
-  ckpt.shard_stamp = std::strtoull(shard.at("fingerprint").string.c_str(), nullptr, 16);
   std::size_t last_index = 0;
   bool first = true;
   for (const JsonValue& c : doc.at("cells").array) {
@@ -941,79 +920,68 @@ Checkpoint parse_checkpoint(const std::string& json_text) {
   return ckpt;
 }
 
-// --- the work-stealing campaign scheduler ------------------------------------
+// --- the block pool and the in-memory campaign -------------------------------
+
+void run_block_pool(unsigned threads, std::vector<BlockUnit> units, std::size_t capacity,
+                    const std::function<void(const BlockUnit&)>& run,
+                    const BlockRefill& refill) {
+  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
+  // The queue never reallocates, so takers read units[c] through `base`
+  // without a lock: a unit is written before `published` moves past it.
+  units.reserve(std::max(capacity, units.size()));
+  const BlockUnit* const base = units.data();
+  std::atomic<std::size_t> cursor{0};
+  std::atomic<std::size_t> published{units.size()};
+  std::atomic<bool> stop{false};
+  std::mutex mu;  // guards `units` appends, `drained` and `failure`
+  bool drained = false;
+  std::exception_ptr failure;
+
+  auto take = [&](BlockUnit& out) -> bool {
+    for (;;) {
+      if (stop.load()) return false;
+      std::size_t c = cursor.load();
+      if (c < published.load(std::memory_order_acquire)) {
+        if (cursor.compare_exchange_weak(c, c + 1)) {
+          out = base[c];
+          return true;
+        }
+        continue;
+      }
+      const std::lock_guard<std::mutex> lock(mu);
+      if (drained) return false;
+      if (cursor.load() < published.load()) continue;  // another thread refilled
+      std::vector<BlockUnit> more;
+      if (refill) refill(more);
+      if (more.empty()) {
+        drained = true;
+        return false;
+      }
+      if (units.size() + more.size() > units.capacity()) {
+        throw std::logic_error("block pool: refill exceeds the queue capacity");
+      }
+      units.insert(units.end(), more.begin(), more.end());
+      published.store(units.size(), std::memory_order_release);
+    }
+  };
+  auto worker = [&] {
+    try {
+      BlockUnit u;
+      while (take(u)) run(u);
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(mu);
+      if (!failure) failure = std::current_exception();
+      stop.store(true);
+    }
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(threads);
+  for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
+  for (std::thread& t : pool) t.join();
+  if (failure) std::rethrow_exception(failure);
+}
 
 namespace {
-
-/// One schedulable unit: block `block` of the `slot`-th owned cell.
-struct WorkUnit {
-  std::uint32_t slot = 0;
-  std::uint64_t block = 0;
-};
-
-/// A lock-free Chase–Lev work-stealing deque, one per worker (memory-order
-/// formulation after Lê/Pop/Cohen/Nardelli, PPoPP'13). The owner pops from
-/// the bottom; thieves CAS the top. Two campaign-specific simplifications
-/// keep it simple and TSan-clean without the usual circular-buffer hazard:
-/// the buffer is bounded (every unit is seeded before any worker starts, so
-/// there is no owner push racing a thief's buffer read — the array is
-/// immutable once the pool spawns), and the seed is stored *reversed* so the
-/// owner's pop-bottom yields the original front order (cell-then-block,
-/// keeping the pending maps small and the scenario contexts warm) while
-/// thieves take the original back — exactly the old mutex deque's policy.
-/// All units are enqueued before the workers start, so once a deque reads
-/// empty it stays empty: an empty sweep over every deque means no unstarted
-/// work remains.
-class StealDeque {
- public:
-  void seed(const std::vector<WorkUnit>& units) {
-    buf_.assign(units.rbegin(), units.rend());
-    top_.store(0, std::memory_order_relaxed);
-    bottom_.store(static_cast<std::int64_t>(buf_.size()), std::memory_order_relaxed);
-  }
-
-  /// Owner-only: take the most recently seeded end (original front order).
-  bool pop_front(WorkUnit& out) {
-    const std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
-    bottom_.store(b, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    std::int64_t t = top_.load(std::memory_order_relaxed);
-    if (t <= b) {
-      out = buf_[static_cast<std::size_t>(b)];
-      if (t == b) {
-        // Last element: race the thieves for it.
-        const bool won = top_.compare_exchange_strong(
-            t, t + 1, std::memory_order_seq_cst, std::memory_order_relaxed);
-        bottom_.store(b + 1, std::memory_order_relaxed);
-        return won;
-      }
-      return true;
-    }
-    bottom_.store(b + 1, std::memory_order_relaxed);
-    return false;
-  }
-
-  /// Thief: take the oldest-seeded end (original back). Retries internally on
-  /// a lost CAS, so false means the deque was genuinely empty when observed.
-  bool steal_back(WorkUnit& out) {
-    for (;;) {
-      std::int64_t t = top_.load(std::memory_order_acquire);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      const std::int64_t b = bottom_.load(std::memory_order_acquire);
-      if (t >= b) return false;
-      out = buf_[static_cast<std::size_t>(t)];
-      if (top_.compare_exchange_weak(t, t + 1, std::memory_order_seq_cst,
-                                     std::memory_order_relaxed)) {
-        return true;
-      }
-    }
-  }
-
- private:
-  std::vector<WorkUnit> buf_;  // immutable between seed() and the last pop
-  std::atomic<std::int64_t> top_{0};
-  std::atomic<std::int64_t> bottom_{0};
-};
 
 /// Mutable per-cell reduction state. `mu` guards everything below it; the
 /// context is built lazily on the first block that touches the cell and freed
@@ -1029,18 +997,7 @@ struct CellState {
   ScenarioResult prefix;                          // merged blocks [0, merged_blocks)
   std::uint64_t merged_blocks = 0;
   std::map<std::uint64_t, ScenarioResult> pending;  // completed out-of-order blocks
-  bool finalized = false;
 };
-
-/// Fills the cell-level metadata and analytic companions once every block has
-/// merged. Requires the context (rebuilt if the cell completed purely from
-/// checkpointed blocks).
-void finalize_cell(const ScenarioSpec& spec, CellState& st) {
-  if (st.ctx == nullptr) st.ctx = std::make_unique<ScenarioContext>(build_context(spec, st.cell));
-  finalize_result(*st.ctx, st.cell, st.prefix);
-  st.finalized = true;
-  st.ctx.reset();  // the graphs are the heavy part; drop them as cells finish
-}
 
 }  // namespace
 
@@ -1048,289 +1005,59 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
   if (spec.trials == 0) throw std::runtime_error("campaign: trials must be positive");
   const std::vector<ScenarioCase> cells = expand_grid(spec);
   if (cells.empty()) throw std::runtime_error("campaign: empty scenario grid");
-  validate_shard(options.shard, cells.size());
+
+  const std::uint64_t num_blocks = num_trial_blocks(spec.trials);
+  std::vector<std::unique_ptr<CellState>> states;
+  std::vector<BlockUnit> units;
+  for (const ScenarioCase& cell : cells) {
+    auto st = std::make_unique<CellState>();
+    st->cell = cell;
+    st->num_blocks = num_blocks;
+    st->prefix.scenario_index = cell.index;
+    states.push_back(std::move(st));
+    for (std::uint64_t b = 0; b < num_blocks; ++b) units.push_back({cell.index, b});
+  }
+
+  std::mutex progress_mu;
+  std::size_t cells_done = 0;
+  auto run_unit = [&](const BlockUnit& u) {
+    CellState& st = *states[u.cell];
+    std::call_once(st.ctx_once,
+                   [&] { st.ctx = std::make_unique<ScenarioContext>(build_context(spec, st.cell)); });
+    ScenarioResult partial = run_one_block(*st.ctx, spec.trials, u.block);
+
+    const std::lock_guard<std::mutex> lock(st.mu);
+    if (u.block != st.merged_blocks) {
+      st.pending.emplace(u.block, std::move(partial));
+      return;
+    }
+    st.prefix.merge(partial);
+    ++st.merged_blocks;
+    while (!st.pending.empty() && st.pending.begin()->first == st.merged_blocks) {
+      st.prefix.merge(st.pending.begin()->second);
+      ++st.merged_blocks;
+      st.pending.erase(st.pending.begin());
+    }
+    if (st.merged_blocks < st.num_blocks) return;
+    finalize_result(*st.ctx, st.cell, st.prefix);
+    st.ctx.reset();  // the graphs are the heavy part; drop them as cells finish
+    if (options.progress != nullptr) {
+      const std::lock_guard<std::mutex> plock(progress_mu);
+      *options.progress << "[" << ++cells_done << "/" << states.size() << "] "
+                        << st.cell.label() << ": success " << st.prefix.reconfig_success
+                        << "/" << st.prefix.trials << "\n";
+    }
+  };
+  const unsigned threads = static_cast<unsigned>(std::min<std::size_t>(
+      options.threads == 0 ? std::max(1u, std::thread::hardware_concurrency()) : options.threads,
+      units.size()));
+  const std::size_t capacity = units.size();
+  run_block_pool(threads, std::move(units), capacity, run_unit);
 
   CampaignResult result;
   result.spec = spec;
-  result.shard = options.shard;
-  result.scenarios.resize(cells.size());
-
-  // Owned cells, in grid order.
-  std::vector<std::unique_ptr<CellState>> states;
-  for (const ScenarioCase& cell : cells) {
-    if (!options.shard.owns(cell.index)) continue;
-    auto st = std::make_unique<CellState>();
-    st->cell = cell;
-    st->num_blocks = num_trial_blocks(spec.trials);
-    st->prefix.scenario_index = cell.index;
-    states.push_back(std::move(st));
-  }
-
-  // --- resume: seed the reduction states from the checkpoint ----------------
-  if (options.resume && !options.checkpoint_path.empty()) {
-    std::ifstream in(options.checkpoint_path, std::ios::binary);
-    if (in) {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      const Checkpoint ckpt = parse_checkpoint(buf.str());
-      if (ckpt.fingerprint != spec_fingerprint(spec)) {
-        throw std::runtime_error(
-            "campaign: checkpoint was produced by a different spec (fingerprint mismatch)");
-      }
-      if (ckpt.shard_stamp != shard_fingerprint(spec, options.shard)) {
-        throw std::runtime_error("campaign: checkpoint belongs to shard " + ckpt.shard.label() +
-                                 ", not " + options.shard.label());
-      }
-      for (const CellProgress& cp : ckpt.cells) {
-        auto it = std::find_if(states.begin(), states.end(), [&](const auto& st) {
-          return st->cell.index == cp.scenario_index;
-        });
-        if (it == states.end()) {
-          throw std::runtime_error("campaign: checkpoint scenario index " +
-                                   std::to_string(cp.scenario_index) +
-                                   " is not owned by this shard");
-        }
-        CellState& st = **it;
-        if (cp.prefix_blocks > st.num_blocks) {
-          throw std::runtime_error("campaign: checkpoint prefix exceeds the block count");
-        }
-        if (cp.prefix_blocks > 0) {
-          if (cp.prefix.trials != trials_in_prefix(spec.trials, cp.prefix_blocks)) {
-            throw std::runtime_error("campaign: checkpoint prefix trial count is inconsistent");
-          }
-          st.prefix = cp.prefix;
-          st.merged_blocks = cp.prefix_blocks;
-          result.resumed_blocks += cp.prefix_blocks;
-        }
-        for (const auto& [block, partial] : cp.extra) {
-          if (block >= st.num_blocks) {
-            throw std::runtime_error("campaign: checkpoint block index out of range");
-          }
-          if (partial.trials != trials_in_block(spec.trials, block)) {
-            throw std::runtime_error("campaign: checkpoint block trial count is inconsistent");
-          }
-          st.pending.emplace(block, partial);
-          ++result.resumed_blocks;
-        }
-        // Drain any contiguity the snapshot (or a hand-edited file) left.
-        while (!st.pending.empty() && st.pending.begin()->first == st.merged_blocks) {
-          st.prefix.merge(st.pending.begin()->second);
-          ++st.merged_blocks;
-          st.pending.erase(st.pending.begin());
-        }
-        if (st.merged_blocks == st.num_blocks) {
-          if (cp.prefix_blocks == st.num_blocks) {
-            st.prefix = cp.prefix;  // already finalized by the producing run
-            st.finalized = true;
-          } else {
-            finalize_cell(spec, st);
-          }
-          ++result.resumed_scenarios;
-        }
-      }
-    }
-  }
-
-  // --- enqueue the remaining work, dealt contiguously across workers --------
-  std::vector<WorkUnit> units;
-  for (std::uint32_t slot = 0; slot < states.size(); ++slot) {
-    const CellState& st = *states[slot];
-    for (std::uint64_t b = st.merged_blocks; b < st.num_blocks; ++b) {
-      if (st.pending.count(b) == 0) units.push_back({slot, b});
-    }
-  }
-
-  unsigned workers =
-      options.threads == 0 ? std::max(1u, std::thread::hardware_concurrency()) : options.threads;
-  workers = static_cast<unsigned>(std::min<std::size_t>(workers, std::max<std::size_t>(units.size(), 1)));
-
-  std::vector<StealDeque> deques(workers);
-  {
-    const std::size_t per = (units.size() + workers - 1) / std::max(1u, workers);
-    for (unsigned w = 0; w < workers; ++w) {
-      const std::size_t lo = std::min(units.size(), w * per);
-      const std::size_t hi = std::min(units.size(), lo + per);
-      deques[w].seed(std::vector<WorkUnit>(units.begin() + static_cast<std::ptrdiff_t>(lo),
-                                           units.begin() + static_cast<std::ptrdiff_t>(hi)));
-    }
-  }
-
-  // --- shared coordination state --------------------------------------------
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> blocks_completed{0};
-  std::atomic<unsigned> workers_alive{workers};
-  std::exception_ptr failure;
-  std::mutex main_mu;  // guards `events` + `failure`; cv's companion
-  std::condition_variable cv;
-  std::vector<std::string> events;  // progress lines for finalized cells
-  std::size_t cells_done = 0;       // owned cells finalized (main thread only)
-
-  const std::size_t owned = states.size();
-  std::size_t owned_done_at_start = 0;
-  for (const auto& st : states) {
-    if (st->finalized) ++owned_done_at_start;
-  }
-
-  auto run_unit = [&](const WorkUnit& u) {
-    CellState& st = *states[u.slot];
-    std::call_once(st.ctx_once, [&] {
-      if (st.ctx == nullptr) st.ctx = std::make_unique<ScenarioContext>(build_context(spec, st.cell));
-    });
-    ScenarioResult partial = run_one_block(*st.ctx, spec.trials, u.block);
-
-    bool completed_cell = false;
-    {
-      const std::lock_guard<std::mutex> lock(st.mu);
-      if (u.block == st.merged_blocks) {
-        st.prefix.merge(partial);
-        ++st.merged_blocks;
-        while (!st.pending.empty() && st.pending.begin()->first == st.merged_blocks) {
-          st.prefix.merge(st.pending.begin()->second);
-          ++st.merged_blocks;
-          st.pending.erase(st.pending.begin());
-        }
-      } else {
-        st.pending.emplace(u.block, std::move(partial));
-      }
-      if (st.merged_blocks == st.num_blocks && !st.finalized) {
-        finalize_cell(spec, st);
-        completed_cell = true;
-      }
-    }
-
-    const std::uint64_t done = blocks_completed.fetch_add(1) + 1;
-    if (options.stop_after_blocks != 0 && done >= options.stop_after_blocks) stop.store(true);
-    if (completed_cell) {
-      const std::lock_guard<std::mutex> lock(main_mu);
-      std::ostringstream line;
-      const ScenarioResult& r = st.prefix;
-      line << st.cell.label() << ": success " << r.reconfig_success << "/" << r.trials;
-      events.push_back(line.str());
-    }
-    cv.notify_all();
-  };
-
-  auto worker_fn = [&](unsigned self) {
-    try {
-      for (;;) {
-        if (stop.load(std::memory_order_relaxed)) break;
-        WorkUnit u;
-        if (!deques[self].pop_front(u)) {
-          bool stole = false;
-          for (unsigned d = 1; d < workers && !stole; ++d) {
-            stole = deques[(self + d) % workers].steal_back(u);
-          }
-          if (!stole) break;  // nothing left to start anywhere
-        }
-        run_unit(u);
-      }
-    } catch (...) {
-      {
-        const std::lock_guard<std::mutex> lock(main_mu);
-        if (!failure) failure = std::current_exception();
-      }
-      stop.store(true);
-    }
-    workers_alive.fetch_sub(1);
-    cv.notify_all();
-  };
-
-  // --- snapshotting ----------------------------------------------------------
-  auto snapshot_checkpoint = [&]() -> std::string {
-    Checkpoint ckpt;
-    ckpt.shard = options.shard;  // stamps are derived from the spec by the serializer
-    for (const auto& stp : states) {
-      CellState& st = *stp;
-      const std::lock_guard<std::mutex> lock(st.mu);
-      if (st.merged_blocks == 0 && st.pending.empty()) continue;
-      CellProgress cp;
-      cp.scenario_index = st.cell.index;
-      cp.prefix_blocks = st.merged_blocks;
-      if (st.merged_blocks > 0) cp.prefix = st.prefix;
-      for (const auto& [block, partial] : st.pending) cp.extra.emplace_back(block, partial);
-      ckpt.cells.push_back(std::move(cp));
-    }
-    return checkpoint_to_json(spec, ckpt);
-  };
-
-  const bool checkpointing = !options.checkpoint_path.empty();
-  auto last_checkpoint = std::chrono::steady_clock::now();
-  std::uint64_t checkpointed_blocks = 0;
-
-  // Caller must NOT hold main_mu (the lines were already moved out of
-  // `events`); shared by the wait loop and the post-join final drain.
-  auto print_progress = [&](const std::vector<std::string>& lines) {
-    if (options.progress == nullptr) return;
-    for (const std::string& line : lines) {
-      cells_done = std::min(owned, cells_done + 1);
-      (*options.progress) << "[" << (owned_done_at_start + cells_done) << "/" << owned << "] "
-                          << line << "\n";
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) pool.emplace_back(worker_fn, w);
-
-  // The main thread runs progress + periodic checkpoints while workers churn.
-  {
-    std::unique_lock<std::mutex> lk(main_mu);
-    while (workers_alive.load() > 0) {
-      cv.wait_for(lk, std::chrono::milliseconds(50));
-      std::vector<std::string> drained;
-      drained.swap(events);
-      lk.unlock();
-      print_progress(drained);
-      if (checkpointing && !stop.load()) {
-        const std::uint64_t done = blocks_completed.load();
-        const auto now = std::chrono::steady_clock::now();
-        const double elapsed = std::chrono::duration<double>(now - last_checkpoint).count();
-        if (done > checkpointed_blocks && elapsed >= options.checkpoint_every_seconds) {
-          // A failed write (disk full, path deleted) must not unwind past the
-          // joinable pool — that would std::terminate. Record it like a
-          // worker failure, drain the workers, and rethrow after the join.
-          try {
-            io::replace_file(options.checkpoint_path, snapshot_checkpoint(), /*fsync=*/true);
-            checkpointed_blocks = done;
-            last_checkpoint = now;
-          } catch (...) {
-            {
-              const std::lock_guard<std::mutex> lock(main_mu);
-              if (!failure) failure = std::current_exception();
-            }
-            stop.store(true);
-          }
-        }
-      }
-      lk.lock();
-    }
-  }
-  for (std::thread& t : pool) t.join();
-
-  // Final progress drain (workers joined, no contention left).
-  print_progress(events);
-  events.clear();
-
-  if (failure) std::rethrow_exception(failure);
-
-  const std::uint64_t done = blocks_completed.load();
-  if (checkpointing && (done > checkpointed_blocks || (options.stop_after_blocks != 0 && done > 0))) {
-    io::replace_file(options.checkpoint_path, snapshot_checkpoint(), /*fsync=*/true);
-  }
-  if (options.stop_after_blocks != 0 && stop.load()) {
-    const bool all_done = std::all_of(states.begin(), states.end(),
-                                      [](const auto& st) { return st->finalized; });
-    if (!all_done) throw CampaignAborted(done);
-  }
-
-  for (auto& stp : states) {
-    CellState& st = *stp;
-    if (!st.finalized) {
-      throw std::logic_error("campaign: cell " + std::to_string(st.cell.index) +
-                             " did not complete");
-    }
-    result.scenarios[st.cell.index] = std::move(st.prefix);
-  }
+  result.scenarios.reserve(states.size());
+  for (auto& st : states) result.scenarios.push_back(std::move(st->prefix));
   return result;
 }
 

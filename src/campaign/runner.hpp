@@ -1,36 +1,26 @@
 // The campaign execution engine.
 //
 // Every (scenario, 256-trial block) pair of the whole grid is one work unit.
-// All units feed one work-stealing scheduler: each worker owns a deque seeded
-// with a deterministic contiguous slice of the units, pops its own work from
-// the front, and steals from the back of a sibling's deque when it runs dry —
-// so one slow cell no longer serializes the grid tail. Every trial's randomness is
-// counter-based — TrialRng::for_trial(seed, scenario, trial) — and per-block
-// partial statistics are merged *in block order* per cell (an out-of-order
-// block parks in a pending map until its predecessors land), so the result is
-// byte-identical for any thread count and any steal schedule. Statistics
-// stream through Welford accumulators (no per-trial storage), success rates
-// carry Wilson score intervals, and fault-count survival curves are recorded
-// per scenario.
+// All units run on one block pool (run_block_pool): N threads take units
+// from the front of one queue through an atomic cursor, so cells run in
+// grid order, block by block. Every trial's randomness is counter-based —
+// TrialRng::for_trial(seed, scenario, trial) — and per-block partial
+// statistics are merged *in block order* per cell (an out-of-order block
+// parks in a pending map until its predecessors land), so the result is
+// byte-identical for any thread count. Statistics stream through Welford
+// accumulators (no per-trial storage), success rates carry Wilson score
+// intervals, and fault-count survival curves are recorded per scenario.
 //
-// Long campaigns checkpoint at *block* granularity: the checkpoint stores,
-// per cell, the merged prefix of completed blocks plus any completed
-// out-of-prefix blocks, so a crash replays at most the blocks in flight (256
-// trials each), not a whole cell. --resume loads the checkpoint and, because
-// trials are counter-based, finishes with exactly the report an uninterrupted
-// run would have produced.
-//
-// Sharding scales the same campaign across machines: shard i/n runs only the
-// cells it owns (round-robin by cell index) and writes a mergeable partial
-// checkpoint; merge_checkpoints (report.hpp) fuses the partials into a report
-// byte-identical to a single-machine run.
+// run_campaign is in-memory. Durable, resumable and distributed runs go
+// through the elastic worker (campaign/elastic/), which runs its leased
+// cells' blocks on the same pool and appends each block to a block log.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <ostream>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,7 +32,7 @@ namespace ftdb::campaign {
 
 /// Trials per work unit. Fixed — the block partition is part of the
 /// deterministic reduction order, so it must not depend on the thread count,
-/// the shard layout, or the steal schedule.
+/// the cell split across workers, or the schedule.
 inline constexpr std::uint64_t kTrialBlock = 256;
 
 /// Blocks a cell of `trials` trials decomposes into (the last may be short).
@@ -205,55 +195,47 @@ struct ScenarioResult {
 struct CampaignOptions {
   /// Worker threads; 0 means std::thread::hardware_concurrency() (min 1).
   unsigned threads = 0;
-  /// Checkpoint file; empty disables checkpointing.
-  std::string checkpoint_path;
-  /// Minimum seconds between checkpoint writes (0 = after every completed
-  /// block — the tightest crash-replay bound).
-  double checkpoint_every_seconds = 0.0;
-  /// Load checkpoint_path (if it exists) and skip its completed blocks.
-  bool resume = false;
-  /// Run only the cells this shard owns (see ShardSpec). The checkpoint then
-  /// carries the shard stamp and is a merge_checkpoints input.
-  ShardSpec shard;
-  /// Test/CI hook simulating a mid-campaign crash: once this many blocks have
-  /// completed, stop scheduling work, write a final checkpoint, and throw
-  /// CampaignAborted. 0 disables.
-  std::uint64_t stop_after_blocks = 0;
   /// Optional sink for one progress line per completed scenario.
   std::ostream* progress = nullptr;
 };
 
 struct CampaignResult {
   ScenarioSpec spec;
-  ShardSpec shard;                        ///< which slice this run executed
-  std::vector<ScenarioResult> scenarios;  ///< in grid order; unowned cells stay empty
-  std::uint64_t resumed_scenarios = 0;    ///< cells fully loaded from the checkpoint
-  std::uint64_t resumed_blocks = 0;       ///< blocks skipped thanks to the checkpoint
+  std::vector<ScenarioResult> scenarios;  ///< in grid order
 };
 
-/// Thrown by run_campaign when options.stop_after_blocks fired. The final
-/// checkpoint (when a checkpoint path is set) is written *before* the throw,
-/// so the campaign is resumable from exactly this point.
-struct CampaignAborted : std::runtime_error {
-  explicit CampaignAborted(std::uint64_t blocks)
-      : std::runtime_error("campaign: stopped after " + std::to_string(blocks) +
-                           " blocks (stop_after_blocks hook)"),
-        blocks_completed(blocks) {}
-  std::uint64_t blocks_completed = 0;
-};
-
-/// Runs the whole campaign (or one shard of it). Throws std::runtime_error on
-/// unusable specs or an incompatible checkpoint, CampaignAborted when the
-/// stop_after_blocks hook fires.
+/// Runs the whole campaign in memory. Throws std::runtime_error on unusable
+/// specs.
 CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& options = {});
 
-/// Executes one grid cell's trial blocks outside the full scheduler — the
-/// unit the elastic campaign service (campaign/elastic/) leases and runs.
-/// The scenario context (graphs, fault model, collective baseline) is built
-/// once in the constructor; run_block only reads it, so one CellRunner can
-/// serve many threads concurrently. Blocks produced here are bit-identical
-/// to the ones run_campaign's scheduler folds, because every trial's
-/// randomness is counter-based.
+/// One unit of trial work: block `block` of cell `cell` (a grid index).
+struct BlockUnit {
+  std::size_t cell = 0;
+  std::uint64_t block = 0;
+};
+
+/// Appends more units when the pool's queue has run dry; appending none
+/// drains the pool.
+using BlockRefill = std::function<void(std::vector<BlockUnit>& more)>;
+
+/// The one thread pool that runs trial blocks; run_campaign and the elastic
+/// worker both use it. `threads` threads (0 = hardware) take units from the
+/// front of the queue through one atomic cursor and call `run` on each. When
+/// the queue runs dry, one thread at a time calls `refill` (if given), which
+/// may append units; the queue never holds more than `capacity` units in
+/// total. The first exception thrown by `run` or `refill` stops the pool; it
+/// is rethrown once every thread has joined.
+void run_block_pool(unsigned threads, std::vector<BlockUnit> units, std::size_t capacity,
+                    const std::function<void(const BlockUnit&)>& run,
+                    const BlockRefill& refill = {});
+
+/// Executes one grid cell's trial blocks outside run_campaign — the unit the
+/// elastic campaign service (campaign/elastic/) leases and runs. The
+/// scenario context (graphs, fault model, collective baseline) is built once
+/// in the constructor; run_block only reads it, so one CellRunner can serve
+/// many threads concurrently. Blocks produced here are bit-identical to the
+/// ones run_campaign folds, because every trial's randomness is
+/// counter-based.
 class CellRunner {
  public:
   CellRunner(const ScenarioSpec& spec, const ScenarioCase& cell);
@@ -264,7 +246,7 @@ class CellRunner {
   std::uint64_t num_blocks() const;
 
   /// Runs block `block` (kTrialBlock trials; the last block may be short) and
-  /// returns its partial accumulator — exactly what the scheduler would merge.
+  /// returns its partial accumulator — exactly what run_campaign would merge.
   ScenarioResult run_block(std::uint64_t block) const;
 
   /// Fills the cell-level metadata and analytic companions on a fully-merged
@@ -276,7 +258,7 @@ class CellRunner {
   std::unique_ptr<Impl> impl_;
 };
 
-// --- checkpoint / result serialization (shared with report.cpp) ------------
+// --- result serialization and the compaction snapshot ----------------------
 
 /// Writes one ScenarioResult as a JSON object (all raw accumulator fields;
 /// round-trips exactly through parse_scenario_result — the %.17g doubles the
@@ -284,10 +266,10 @@ class CellRunner {
 void write_scenario_result(analysis::JsonWriter& w, const ScenarioResult& r);
 ScenarioResult parse_scenario_result(const analysis::JsonValue& obj);
 
-/// One cell's progress inside a checkpoint: blocks [0, prefix_blocks) merged
-/// into `prefix` (finalized — labels and analytic columns filled — exactly
-/// when the cell is complete), plus any completed blocks past the prefix that
-/// were waiting on a predecessor when the snapshot was taken.
+/// One cell's durable progress: blocks [0, prefix_blocks) merged into
+/// `prefix` (finalized — labels and analytic columns filled — exactly when
+/// the cell is complete), plus completed blocks past the prefix that were
+/// waiting on a predecessor.
 struct CellProgress {
   std::size_t scenario_index = 0;
   std::uint64_t prefix_blocks = 0;
@@ -295,23 +277,19 @@ struct CellProgress {
   std::vector<std::pair<std::uint64_t, ScenarioResult>> extra;  ///< sorted by block
 };
 
-/// "ftdb-campaign-checkpoint-v2": block-granular progress of one shard.
+/// "ftdb-campaign-checkpoint-v2": the elastic compaction snapshot
+/// (compacted.ckpt). The document always carries the whole-campaign "shard"
+/// object {0, 1}; parse_checkpoint refuses any other.
 struct Checkpoint {
   std::uint64_t fingerprint = 0;        ///< spec_fingerprint of the producing spec
-  std::uint64_t shard_stamp = 0;        ///< shard_fingerprint(spec, shard)
-  ShardSpec shard;
   std::vector<CellProgress> cells;      ///< sorted by scenario_index
 };
 
 std::string checkpoint_to_json(const ScenarioSpec& spec, const Checkpoint& ckpt);
 
-/// Convenience form for whole-cell checkpoints (each result a completed
-/// cell), the shape the scenario-granular v1 engine produced.
-std::string checkpoint_to_json(const ScenarioSpec& spec,
-                               const std::vector<ScenarioResult>& completed);
-
-/// Parses a checkpoint document; throws std::runtime_error when malformed or
-/// when the trial-block size it was produced with differs from kTrialBlock.
+/// Parses a checkpoint document; throws std::runtime_error when malformed,
+/// when it is a partial-shard checkpoint, or when the trial-block size it was
+/// produced with differs from kTrialBlock.
 Checkpoint parse_checkpoint(const std::string& json_text);
 
 }  // namespace ftdb::campaign

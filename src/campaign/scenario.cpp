@@ -483,27 +483,16 @@ void write_scenario_spec(JsonWriter& w, const ScenarioSpec& spec) {
   w.end_object();
 }
 
-std::string ShardSpec::label() const {
-  return std::to_string(index) + "/" + std::to_string(count);
-}
-
 void validate_shard(const ShardSpec& shard, std::size_t num_cells) {
-  if (shard.count < 1) bad_spec("shard count must be >= 1");
+  if (shard.count < 1) bad_spec("cell slice count must be >= 1");
   if (shard.index >= shard.count) {
-    bad_spec("shard index " + std::to_string(shard.index) + " out of range for " +
-             std::to_string(shard.count) + " shards");
+    bad_spec("cell slice " + std::to_string(shard.index) + " out of range for " +
+             std::to_string(shard.count) + " slices");
   }
   if (num_cells > 0 && shard.count > num_cells) {
-    bad_spec("more shards (" + std::to_string(shard.count) + ") than grid cells (" +
+    bad_spec("more cell slices (" + std::to_string(shard.count) + ") than grid cells (" +
              std::to_string(num_cells) + ")");
   }
-}
-
-std::uint64_t shard_fingerprint(const ScenarioSpec& spec, const ShardSpec& shard) {
-  const std::uint64_t base = spec_fingerprint(spec);
-  if (shard.whole_campaign()) return base;
-  return splitmix64_mix(base ^ (static_cast<std::uint64_t>(shard.index) << 32 |
-                                static_cast<std::uint64_t>(shard.count)));
 }
 
 std::uint64_t spec_fingerprint(const ScenarioSpec& spec) {

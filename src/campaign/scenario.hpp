@@ -68,7 +68,7 @@ struct FaultModelSpec {
 ///                     (sim::trace_traffic format) replayed verbatim.
 /// Packet count per trial is `packets_per_node` x target nodes (traces bring
 /// their own). Random draws are counter-based off the trial's own RNG stream,
-/// so reports stay byte-identical across threads, shards and resume.
+/// so reports stay byte-identical across threads, cell splits and resume.
 struct TrafficSpec {
   std::string pattern = "uniform";
   double theta = 1.0;
@@ -147,31 +147,24 @@ std::vector<ScenarioCase> expand_grid(const ScenarioSpec& spec);
 /// Deliberately cheap — no graphs are built.
 double predicted_cell_cost(const ScenarioSpec& spec, const ScenarioCase& cell);
 
-/// One machine's slice of a campaign: shard `index` of `count` owns every
-/// grid cell whose expansion index is congruent to `index` mod `count`. The
-/// round-robin partition is deterministic and spreads the expensive cells
-/// (which cluster at neighboring grid positions) across machines. count <= 1
-/// means the whole campaign.
+/// A cell filter for one machine's slice of a campaign (the elastic worker's
+/// `--cells I/N`): slice `index` of `count` owns every grid cell whose
+/// expansion index is congruent to `index` mod `count`. The round-robin
+/// partition is deterministic and spreads the expensive cells (which cluster
+/// at neighboring grid positions) across machines. count <= 1 means the
+/// whole campaign.
 struct ShardSpec {
   std::uint32_t index = 0;
   std::uint32_t count = 1;
 
-  bool whole_campaign() const { return count <= 1; }
   bool owns(std::size_t cell_index) const {
     return count <= 1 || cell_index % count == index;
   }
-  std::string label() const;
 };
 
 /// Throws std::runtime_error unless index < count and count >= 1.
 void validate_shard(const ShardSpec& shard, std::size_t num_cells);
 
-/// Compatibility stamp of one shard of one spec: mixes spec_fingerprint with
-/// the shard coordinates, so a partial checkpoint can prove both which
-/// campaign and which slice of it produced the data. Equal to
-/// spec_fingerprint(spec) for a whole-campaign shard, keeping unsharded
-/// checkpoints' stamps stable.
-std::uint64_t shard_fingerprint(const ScenarioSpec& spec, const ShardSpec& shard);
 
 /// Parses a campaign spec document; throws std::runtime_error with a
 /// field-level message on malformed or out-of-range input.

@@ -1,17 +1,23 @@
 // Campaign engine tests: spec parsing, fault-model properties, streaming
-// statistics, scheduling-independent determinism, checkpoint/resume
-// identity, and the statistical-sanity check tying the iid model's empirical
-// survival back to the paper's binomial tail (ft/spares.hpp).
+// statistics, scheduling-independent determinism, crash/resume and
+// cell-split identity through the elastic directory, and the
+// statistical-sanity check tying the iid model's empirical survival back to
+// the paper's binomial tail (ft/spares.hpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <optional>
 #include <random>
+#include <sstream>
 #include <string>
 
+#include "campaign/elastic/elastic.hpp"
+#include "campaign/elastic/partial.hpp"
 #include "campaign/fault_models.hpp"
 #include "campaign/report.hpp"
 #include "campaign/rng.hpp"
@@ -32,6 +38,16 @@
 namespace ftdb::campaign {
 namespace {
 
+/// The diameter, stretch and mttf switches as given; every other metric
+/// keeps its default.
+MetricSet metric_set(bool diameter, bool stretch, bool mttf) {
+  MetricSet m;
+  m.diameter = diameter;
+  m.stretch = stretch;
+  m.mttf = mttf;
+  return m;
+}
+
 ScenarioSpec small_spec() {
   ScenarioSpec spec;
   spec.name = "test";
@@ -41,8 +57,60 @@ ScenarioSpec small_spec() {
   spec.spares = {0, 2};
   spec.fault_models = {{FaultModelKind::IidBernoulli, 0.05, 1.0, 100.0, 1.0},
                        {FaultModelKind::Adversarial, 0.05, 1.0, 100.0, 1.0}};
-  spec.metrics = {true, false, true};
+  spec.metrics = metric_set(true, false, true);
   return spec;
+}
+
+// --- the durable path: elastic directories -----------------------------------
+
+/// A fresh (absent) elastic directory under the test temp dir.
+std::string fresh_dir(const std::string& tag) {
+  const std::string dir = ::testing::TempDir() + "/ftdb_campaign_" + tag;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+elastic::ElasticOptions durable(const std::string& dir, unsigned threads,
+                                ShardSpec cells = {}) {
+  elastic::ElasticOptions options;
+  options.dir = dir;
+  options.worker_id = "test-worker";
+  options.threads = threads;
+  options.cells = cells;
+  options.poll_seconds = 0.01;
+  options.fsync = false;
+  return options;
+}
+
+/// Runs one cell-filtered elastic directory to completion; returns its path.
+std::string run_cells(const ScenarioSpec& spec, ShardSpec cells, unsigned threads,
+                      const std::string& tag) {
+  const std::string dir = fresh_dir(tag);
+  const elastic::ElasticResult r = elastic::run_elastic_worker(spec, durable(dir, threads, cells));
+  EXPECT_TRUE(r.campaign_complete);
+  return dir;
+}
+
+std::string merged_report(const ScenarioSpec& spec, const std::vector<std::string>& dirs) {
+  return campaign_report_json(elastic::merge_elastic(spec, dirs));
+}
+
+/// The durable identity drills: a worker crashed after two blocks and
+/// resumed under its own id, and two --cells directories merged, both give
+/// the serial report's bytes.
+void expect_durable_drills(const ScenarioSpec& spec, const std::string& serial,
+                           const std::string& tag) {
+  const std::string dir = fresh_dir(tag + "_crash");
+  elastic::ElasticOptions crash = durable(dir, 1);
+  crash.stop_after_blocks = 2;
+  EXPECT_THROW(elastic::run_elastic_worker(spec, crash), elastic::ElasticAborted);
+  const elastic::ElasticResult resumed = elastic::run_elastic_worker(spec, durable(dir, 2));
+  EXPECT_GE(resumed.blocks_skipped, 2u);
+  EXPECT_EQ(merged_report(spec, {dir}), serial);
+
+  const std::string d0 = run_cells(spec, {0, 2}, 2, tag + "_0");
+  const std::string d1 = run_cells(spec, {1, 2}, 3, tag + "_1");
+  EXPECT_EQ(merged_report(spec, {d0, d1}), serial);
 }
 
 TEST(TrialRng, CounterBasedStreamsAreStable) {
@@ -330,7 +398,7 @@ TEST(Campaign, BlockModelSurvivesIffBlockFitsTheSpares) {
   spec.spares = {2};
   spec.fault_models = {
       {FaultModelKind::Block, 0.1, 1.0, 100.0, 1.0, 4}};
-  spec.metrics = {false, false, true};
+  spec.metrics = metric_set(false, false, true);
   const CampaignResult result = run_campaign(spec, {.threads = 2});
   const ScenarioResult& r = result.scenarios.front();
   EXPECT_EQ(r.trials, 400u);
@@ -350,7 +418,7 @@ TEST(Campaign, WeibullAnalyticMttfMatchesEmpiricalMean) {
   spec.topologies = {{TopologyFamily::DeBruijn, 2, 4}};
   spec.spares = {2};
   spec.fault_models = {{FaultModelKind::Weibull, 0.0, 1.5, 300.0, 40.0}};
-  spec.metrics = {false, false, true};
+  spec.metrics = metric_set(false, false, true);
   const CampaignResult result = run_campaign(spec, {.threads = 2});
   const ScenarioResult& r = result.scenarios.front();
   ASSERT_TRUE(std::isfinite(r.analytic_mttf));
@@ -369,7 +437,7 @@ TEST(Campaign, SampledStretchIsDeterministicAndBounded) {
   spec.topologies = {{TopologyFamily::DeBruijn, 2, 4}};
   spec.spares = {2};
   spec.fault_models = {{FaultModelKind::IidBernoulli, 0.05, 1.0, 1.0, 1.0}};
-  spec.metrics = {false, true, false};
+  spec.metrics = metric_set(false, true, false);
   spec.metrics.stretch_sample_pairs = 24;
 
   CampaignOptions serial;
@@ -407,7 +475,7 @@ TEST(Campaign, ShuffleExchangeStretchIsPopulatedAndBounded) {
   spec.topologies = {{TopologyFamily::ShuffleExchange, 2, 3}};
   spec.spares = {2};
   spec.fault_models = {{FaultModelKind::IidBernoulli, 0.08, 1.0, 1.0, 1.0}};
-  spec.metrics = {false, true, false};
+  spec.metrics = metric_set(false, true, false);
 
   CampaignOptions serial;
   serial.threads = 1;
@@ -445,19 +513,19 @@ TEST(Campaign, ResumeFromCheckpointReproducesTheFullReport) {
   const CampaignResult full = run_campaign(spec, {.threads = 2});
   ASSERT_EQ(full.scenarios.size(), 8u);
 
-  // Craft a mid-campaign checkpoint: only the first three scenarios done.
-  const std::vector<ScenarioResult> partial(full.scenarios.begin(), full.scenarios.begin() + 3);
-  const std::string ckpt_path = ::testing::TempDir() + "/ftdb_campaign_ckpt.json";
-  {
-    std::ofstream out(ckpt_path, std::ios::binary | std::ios::trunc);
-    out << checkpoint_to_json(spec, partial);
+  // Craft a mid-campaign compaction snapshot: only the first three scenarios
+  // done.
+  Checkpoint ckpt;
+  for (std::size_t i = 0; i < 3; ++i) {
+    ckpt.cells.push_back({i, num_trial_blocks(spec.trials), full.scenarios[i], {}});
   }
-  CampaignOptions resume_opts;
-  resume_opts.threads = 2;
-  resume_opts.checkpoint_path = ckpt_path;
-  resume_opts.resume = true;
-  const CampaignResult resumed = run_campaign(spec, resume_opts);
-  EXPECT_EQ(resumed.resumed_scenarios, 3u);
+  const std::string dir = fresh_dir("resume");
+  elastic::ensure_elastic_dir(spec, dir);
+  std::ofstream(dir + "/compacted.ckpt", std::ios::binary) << checkpoint_to_json(spec, ckpt);
+
+  const elastic::ElasticResult r = elastic::run_elastic_worker(spec, durable(dir, 2));
+  EXPECT_EQ(r.blocks_run, 5u);  // one block per cell; three cells were durable
+  const CampaignResult resumed = elastic::merge_elastic(spec, {dir});
   EXPECT_EQ(campaign_report_json(resumed), campaign_report_json(full));
   EXPECT_EQ(campaign_report_markdown(resumed), campaign_report_markdown(full));
   EXPECT_EQ(campaign_report_csv(resumed), campaign_report_csv(full));
@@ -467,16 +535,11 @@ TEST(Campaign, CheckpointFingerprintMismatchIsRejected) {
   const ScenarioSpec spec = small_spec();
   ScenarioSpec other = spec;
   other.seed += 1;
-  const std::string ckpt_path = ::testing::TempDir() + "/ftdb_campaign_ckpt2.json";
-  {
-    std::ofstream out(ckpt_path, std::ios::binary | std::ios::trunc);
-    out << checkpoint_to_json(other, std::vector<ScenarioResult>{});
-  }
-  CampaignOptions opts;
-  opts.threads = 1;
-  opts.checkpoint_path = ckpt_path;
-  opts.resume = true;
-  EXPECT_THROW(run_campaign(spec, opts), std::runtime_error);
+  const std::string dir = fresh_dir("respec");
+  elastic::ensure_elastic_dir(spec, dir);
+  std::ofstream(dir + "/compacted.ckpt", std::ios::binary) << checkpoint_to_json(other, {});
+  EXPECT_THROW(elastic::run_elastic_worker(spec, durable(dir, 1)), std::runtime_error);
+  EXPECT_THROW(elastic::merge_elastic(spec, {dir}), std::runtime_error);
 }
 
 TEST(Campaign, EmpiricalSurvivalMatchesBinomialTail) {
@@ -490,7 +553,7 @@ TEST(Campaign, EmpiricalSurvivalMatchesBinomialTail) {
   spec.topologies = {{TopologyFamily::DeBruijn, 2, 4}};
   spec.spares = {2};
   spec.fault_models = {{FaultModelKind::IidBernoulli, 0.06, 1.0, 1.0, 1.0}};
-  spec.metrics = {false, false, false};
+  spec.metrics = metric_set(false, false, false);
   const CampaignResult result = run_campaign(spec, {.threads = 2});
   ASSERT_EQ(result.scenarios.size(), 1u);
   const ScenarioResult& r = result.scenarios.front();
@@ -520,7 +583,7 @@ TEST(Campaign, ReconfiguredDiameterMatchesTargetOnEverySuccess) {
   spec.topologies = {{TopologyFamily::DeBruijn, 2, 4}};
   spec.spares = {2};
   spec.fault_models = {{FaultModelKind::IidBernoulli, 0.05, 1.0, 1.0, 1.0}};
-  spec.metrics = {true, false, false};
+  spec.metrics = metric_set(true, false, false);
   const CampaignResult result = run_campaign(spec, {.threads = 1});
   const ScenarioResult& r = result.scenarios.front();
   ASSERT_GT(r.reconfig_success, 0u);
@@ -672,7 +735,7 @@ TEST(Campaign, BusFamilyRunsAndBoundsDegree) {
   spec.topologies = {{TopologyFamily::Bus, 2, 3}};
   spec.spares = {1};
   spec.fault_models = {{FaultModelKind::IidBernoulli, 0.05, 1.0, 1.0, 1.0}};
-  spec.metrics = {true, false, true};
+  spec.metrics = metric_set(true, false, true);
   const CampaignResult result = run_campaign(spec, {.threads = 1});
   const ScenarioResult& r = result.scenarios.front();
   EXPECT_EQ(r.trials, 100u);
@@ -681,10 +744,10 @@ TEST(Campaign, BusFamilyRunsAndBoundsDegree) {
   EXPECT_GT(r.reconfig_success, 0u);
 }
 
-// --- work-stealing scheduler, block checkpoints, shard/merge -----------------
+// --- block pool, crash/resume, cell-filtered directories --------------------
 
-/// 4 cells x 600 trials = 3 blocks per cell: enough blocks that stealing,
-/// out-of-order merges and mid-cell checkpoints all actually happen.
+/// 4 cells x 600 trials = 3 blocks per cell: enough blocks that out-of-order
+/// merges and mid-cell crashes all actually happen.
 ScenarioSpec multiblock_spec() {
   ScenarioSpec spec;
   spec.name = "blocks";
@@ -693,25 +756,11 @@ ScenarioSpec multiblock_spec() {
   spec.topologies = {{TopologyFamily::DeBruijn, 2, 4}, {TopologyFamily::ShuffleExchange, 2, 3}};
   spec.spares = {0, 2};
   spec.fault_models = {{FaultModelKind::IidBernoulli, 0.05, 1.0, 100.0, 1.0}};
-  spec.metrics = {true, false, true};
+  spec.metrics = metric_set(true, false, true);
   return spec;
 }
 
-/// Runs one shard to completion and returns its parsed partial checkpoint.
-Checkpoint run_shard(const ScenarioSpec& spec, const ShardSpec& shard, unsigned threads,
-                     const std::string& tag) {
-  CampaignOptions options;
-  options.threads = threads;
-  options.shard = shard;
-  options.checkpoint_path = ::testing::TempDir() + "/ftdb_shard_" + tag + ".ckpt";
-  run_campaign(spec, options);
-  std::ifstream in(options.checkpoint_path, std::ios::binary);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_checkpoint(buf.str());
-}
-
-TEST(Scheduler, WorkStealingIsByteIdenticalAcrossThreadCounts) {
+TEST(Scheduler, BlockPoolIsByteIdenticalAcrossThreadCounts) {
   const ScenarioSpec spec = multiblock_spec();
   ASSERT_EQ(num_trial_blocks(spec.trials), 3u);
   const std::string serial = campaign_report_json(run_campaign(spec, {.threads = 1}));
@@ -721,38 +770,51 @@ TEST(Scheduler, WorkStealingIsByteIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(Scheduler, BlockPoolRefillsAndRethrowsTheFirstException) {
+  std::atomic<int> ran{0};
+  int refills = 0;
+  run_block_pool(3, {{0, 0}, {0, 1}}, 6, [&](const BlockUnit&) { ++ran; },
+                 [&](std::vector<BlockUnit>& more) {
+                   if (++refills > 2) return;  // the third refill drains the pool
+                   more.push_back({1, 0});
+                   more.push_back({1, 1});
+                 });
+  EXPECT_EQ(ran.load(), 6);
+  EXPECT_EQ(refills, 3);
+  EXPECT_THROW(run_block_pool(2, {{0, 0}, {0, 1}, {0, 2}}, 3,
+                              [](const BlockUnit& u) {
+                                if (u.block == 1) throw std::runtime_error("block failed");
+                              }),
+               std::runtime_error);
+}
+
 TEST(Scheduler, StopAfterBlocksWritesAResumableBlockGranularCheckpoint) {
   const ScenarioSpec spec = multiblock_spec();
   const std::string full = campaign_report_json(run_campaign(spec, {.threads = 2}));
 
-  CampaignOptions crash;
-  crash.threads = 1;
-  crash.checkpoint_path = ::testing::TempDir() + "/ftdb_midcell.ckpt";
+  const std::string dir = fresh_dir("midcell");
+  elastic::ElasticOptions crash = durable(dir, 1);
   crash.stop_after_blocks = 2;  // dies inside the first cell (3 blocks each)
-  EXPECT_THROW(run_campaign(spec, crash), CampaignAborted);
+  EXPECT_THROW(elastic::run_elastic_worker(spec, crash), elastic::ElasticAborted);
 
-  std::ifstream in(crash.checkpoint_path, std::ios::binary);
-  ASSERT_TRUE(in.good());
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const Checkpoint ckpt = parse_checkpoint(buf.str());
-  std::uint64_t blocks = 0;
-  for (const CellProgress& c : ckpt.cells) blocks += c.prefix_blocks + c.extra.size();
-  EXPECT_GE(blocks, 2u);
+  const elastic::ElasticProgress progress = elastic::load_elastic_progress(spec, dir);
+  EXPECT_EQ(progress.durable_blocks, 2u);
   // Mid-cell granularity: some cell stopped strictly between 0 and all blocks.
   bool mid_cell = false;
-  for (const CellProgress& c : ckpt.cells) {
+  for (const CellProgress& c : progress.cells) {
     mid_cell = mid_cell || (c.prefix_blocks > 0 && c.prefix_blocks < 3);
   }
   EXPECT_TRUE(mid_cell);
 
-  CampaignOptions resume = crash;
-  resume.threads = 3;
-  resume.stop_after_blocks = 0;
-  resume.resume = true;
-  const CampaignResult resumed = run_campaign(spec, resume);
-  EXPECT_GE(resumed.resumed_blocks, 2u);
-  EXPECT_EQ(campaign_report_json(resumed), full);
+  // The same worker id resumes at once: its own lease is reclaimed without
+  // waiting out the (60 s) TTL.
+  elastic::ElasticOptions resume = durable(dir, 3);
+  resume.lease_ttl_seconds = 60;
+  const elastic::ElasticResult resumed = elastic::run_elastic_worker(spec, resume);
+  EXPECT_EQ(resumed.leases_reclaimed, 1u);
+  EXPECT_EQ(resumed.blocks_skipped, 2u);
+  EXPECT_EQ(resumed.blocks_run, 10u);
+  EXPECT_EQ(merged_report(spec, {dir}), full);
 }
 
 TEST(Scheduler, PartialFinalBlockResumesCorrectly) {
@@ -764,34 +826,34 @@ TEST(Scheduler, PartialFinalBlockResumesCorrectly) {
   ASSERT_EQ(num_trial_blocks(spec.trials), 2u);
   const std::string full = campaign_report_json(run_campaign(spec, {.threads = 1}));
 
-  CampaignOptions crash;
-  crash.threads = 1;
-  crash.checkpoint_path = ::testing::TempDir() + "/ftdb_tail.ckpt";
+  const std::string dir = fresh_dir("tail");
+  elastic::ElasticOptions crash = durable(dir, 1);
   crash.stop_after_blocks = 1;
-  EXPECT_THROW(run_campaign(spec, crash), CampaignAborted);
+  EXPECT_THROW(elastic::run_elastic_worker(spec, crash), elastic::ElasticAborted);
 
-  CampaignOptions resume = crash;
-  resume.stop_after_blocks = 0;
-  resume.resume = true;
-  const CampaignResult resumed = run_campaign(spec, resume);
-  EXPECT_EQ(resumed.resumed_blocks, 1u);
-  EXPECT_EQ(resumed.scenarios.front().trials, 300u);
-  EXPECT_EQ(campaign_report_json(resumed), full);
+  const elastic::ElasticResult resumed = elastic::run_elastic_worker(spec, durable(dir, 1));
+  EXPECT_EQ(resumed.blocks_skipped, 1u);
+  EXPECT_EQ(resumed.blocks_run, 1u);
+  const CampaignResult merged = elastic::merge_elastic(spec, {dir});
+  EXPECT_EQ(merged.scenarios.front().trials, 300u);
+  EXPECT_EQ(campaign_report_json(merged), full);
 }
 
 TEST(Shard, TwoShardsMergeByteIdenticalToSingleMachineRun) {
   const ScenarioSpec spec = multiblock_spec();
   const std::string reference = campaign_report_json(run_campaign(spec, {.threads = 1}));
 
-  const Checkpoint s0 = run_shard(spec, {0, 2}, 3, "m0");
-  const Checkpoint s1 = run_shard(spec, {1, 2}, 2, "m1");
-  EXPECT_EQ(s0.shard.index, 0u);
-  EXPECT_EQ(s1.shard.count, 2u);
-  // Round-robin partition: each shard owns every second cell.
-  for (const CellProgress& c : s0.cells) EXPECT_EQ(c.scenario_index % 2, 0u);
-  for (const CellProgress& c : s1.cells) EXPECT_EQ(c.scenario_index % 2, 1u);
+  const std::string d0 = run_cells(spec, {0, 2}, 3, "m0");
+  const std::string d1 = run_cells(spec, {1, 2}, 2, "m1");
+  // Round-robin partition: each directory holds every second cell only.
+  const elastic::ElasticProgress p0 = elastic::load_elastic_progress(spec, d0);
+  const elastic::ElasticProgress p1 = elastic::load_elastic_progress(spec, d1);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(p0.cells[i].prefix_blocks, i % 2 == 0 ? 3u : 0u) << i;
+    EXPECT_EQ(p1.cells[i].prefix_blocks, i % 2 == 1 ? 3u : 0u) << i;
+  }
 
-  const CampaignResult merged = merge_checkpoints(spec, {s0, s1});
+  const CampaignResult merged = elastic::merge_elastic(spec, {d0, d1});
   EXPECT_EQ(campaign_report_json(merged), reference);
   EXPECT_EQ(campaign_report_csv(merged), campaign_report_csv(run_campaign(spec, {.threads = 2})));
 }
@@ -799,53 +861,48 @@ TEST(Shard, TwoShardsMergeByteIdenticalToSingleMachineRun) {
 TEST(Shard, MergeOfOnePartialIsIdentity) {
   const ScenarioSpec spec = small_spec();
   const CampaignResult direct = run_campaign(spec, {.threads = 2});
-  const Checkpoint whole = run_shard(spec, {0, 1}, 2, "whole");
-  const CampaignResult merged = merge_checkpoints(spec, {whole});
-  EXPECT_EQ(campaign_report_json(merged), campaign_report_json(direct));
+  const std::string whole = run_cells(spec, {0, 1}, 2, "whole");
+  EXPECT_EQ(merged_report(spec, {whole}), campaign_report_json(direct));
 }
 
-TEST(Shard, MergeRejectsOverlapFingerprintMismatchAndGaps) {
+TEST(Shard, MergeRejectsFingerprintMismatchAndGaps) {
   const ScenarioSpec spec = multiblock_spec();
-  const Checkpoint s0 = run_shard(spec, {0, 2}, 2, "r0");
-  const Checkpoint s1 = run_shard(spec, {1, 2}, 2, "r1");
+  const std::string reference = campaign_report_json(run_campaign(spec, {.threads = 1}));
+  const std::string d0 = run_cells(spec, {0, 2}, 2, "r0");
+  const std::string d1 = run_cells(spec, {1, 2}, 2, "r1");
 
-  // Overlap: the same cells arriving twice must be rejected, not averaged.
-  EXPECT_THROW(merge_checkpoints(spec, {s0, s1, s0}), std::runtime_error);
-  // Coverage gap: a missing shard leaves cells uncovered.
-  EXPECT_THROW(merge_checkpoints(spec, {s0}), std::runtime_error);
-  // Fingerprint mismatch: partials of a different spec are rejected.
+  // Coverage gap: a missing slice leaves cells uncovered.
+  EXPECT_THROW(elastic::merge_elastic(spec, {d0}), std::runtime_error);
+  EXPECT_THROW(elastic::merge_elastic(spec, {d0, d0}), std::runtime_error);
+  // Fingerprint mismatch: a directory of a different spec is rejected.
   ScenarioSpec other = spec;
   other.seed += 1;
-  const Checkpoint o0 = run_shard(other, {0, 2}, 2, "o0");
-  EXPECT_THROW(merge_checkpoints(spec, {o0, s1}), std::runtime_error);
-  // Incomplete cell: a crash-cut partial cannot be merged.
-  Checkpoint cut = s0;
-  ASSERT_FALSE(cut.cells.empty());
-  cut.cells.front().prefix_blocks -= 1;
-  EXPECT_THROW(merge_checkpoints(spec, {cut, s1}), std::runtime_error);
+  const std::string o0 = run_cells(other, {0, 2}, 2, "o0");
+  EXPECT_THROW(elastic::merge_elastic(spec, {o0, d1}), std::runtime_error);
+  // Incomplete cell: a crash-cut slice cannot be merged.
+  const std::string cut = fresh_dir("cut");
+  elastic::ElasticOptions crash = durable(cut, 1, {0, 2});
+  crash.stop_after_blocks = 1;
+  EXPECT_THROW(elastic::run_elastic_worker(spec, crash), elastic::ElasticAborted);
+  EXPECT_THROW(elastic::merge_elastic(spec, {cut, d1}), std::runtime_error);
   // Torn accumulator: all blocks claimed but the prefix carries fewer trials
   // (a corrupted file must not merge into a silently wrong report).
-  Checkpoint torn = s0;
-  torn.cells.front().prefix.trials -= 1;
-  EXPECT_THROW(merge_checkpoints(spec, {torn, s1}), std::runtime_error);
-  // The intact pair still merges (the guards above rejected for real reasons).
-  EXPECT_EQ(merge_checkpoints(spec, {s0, s1}).scenarios.size(), 4u);
-}
-
-TEST(Shard, ResumingUnderTheWrongShardCoordinatesIsRejected) {
-  const ScenarioSpec spec = multiblock_spec();
-  CampaignOptions options;
-  options.threads = 1;
-  options.shard = {0, 2};
-  options.checkpoint_path = ::testing::TempDir() + "/ftdb_wrongshard.ckpt";
-  run_campaign(spec, options);
-
-  CampaignOptions wrong = options;
-  wrong.resume = true;
-  wrong.shard = {1, 2};
-  EXPECT_THROW(run_campaign(spec, wrong), std::runtime_error);
-  wrong.shard = {0, 1};  // a whole-campaign run can't adopt a shard checkpoint either
-  EXPECT_THROW(run_campaign(spec, wrong), std::runtime_error);
+  const std::string torn = fresh_dir("torn");
+  std::filesystem::copy(d0, torn, std::filesystem::copy_options::recursive);
+  {
+    std::ifstream in(torn + "/compacted.ckpt", std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    Checkpoint ckpt = parse_checkpoint(text.str());
+    ASSERT_FALSE(ckpt.cells.empty());
+    ckpt.cells.front().prefix.trials -= 1;
+    std::ofstream(torn + "/compacted.ckpt", std::ios::binary | std::ios::trunc)
+        << checkpoint_to_json(spec, ckpt);
+  }
+  EXPECT_THROW(elastic::merge_elastic(spec, {torn, d1}), std::runtime_error);
+  // The intact pair merges; a (cell, block) given twice is deduplicated.
+  EXPECT_EQ(merged_report(spec, {d0, d1}), reference);
+  EXPECT_EQ(merged_report(spec, {d0, d1, d0}), reference);
 }
 
 TEST(Checkpoint, BlockGranularProgressRoundTripsThroughJson) {
@@ -857,7 +914,6 @@ TEST(Checkpoint, BlockGranularProgressRoundTripsThroughJson) {
   const ScenarioResult partial = run_campaign(one_block, {.threads = 1}).scenarios.front();
 
   Checkpoint ckpt;
-  ckpt.shard = {1, 3};
   CellProgress cp;
   cp.scenario_index = 1;
   cp.prefix_blocks = 1;
@@ -865,11 +921,9 @@ TEST(Checkpoint, BlockGranularProgressRoundTripsThroughJson) {
   cp.extra.emplace_back(2, partial);
   ckpt.cells.push_back(cp);
 
-  const Checkpoint reparsed = parse_checkpoint(checkpoint_to_json(spec, ckpt));
+  const std::string json = checkpoint_to_json(spec, ckpt);
+  const Checkpoint reparsed = parse_checkpoint(json);
   EXPECT_EQ(reparsed.fingerprint, spec_fingerprint(spec));
-  EXPECT_EQ(reparsed.shard_stamp, shard_fingerprint(spec, {1, 3}));
-  EXPECT_EQ(reparsed.shard.index, 1u);
-  EXPECT_EQ(reparsed.shard.count, 3u);
   ASSERT_EQ(reparsed.cells.size(), 1u);
   const CellProgress& rp = reparsed.cells.front();
   EXPECT_EQ(rp.scenario_index, 1u);
@@ -882,21 +936,36 @@ TEST(Checkpoint, BlockGranularProgressRoundTripsThroughJson) {
   EXPECT_EQ(rp.prefix.fault_count.m2, partial.fault_count.m2);
   EXPECT_EQ(rp.extra.front().second.mttf.m2, partial.mttf.m2);
   EXPECT_EQ(rp.prefix.survival_curve.size(), partial.survival_curve.size());
+  // The snapshot is always the whole campaign's; one shard's is refused.
+  EXPECT_EQ(json, checkpoint_to_json(spec, reparsed));
+  std::string sliced = json;
+  const std::size_t count_at = sliced.find("\"count\"", sliced.find("\"shard\""));
+  ASSERT_NE(count_at, std::string::npos);
+  const std::size_t one_at = sliced.find('1', count_at);
+  sliced[one_at] = '2';
+  EXPECT_THROW(parse_checkpoint(sliced), std::runtime_error);
 
-  // The shard stamp binds index *and* count.
-  EXPECT_NE(shard_fingerprint(spec, {1, 3}), shard_fingerprint(spec, {1, 4}));
-  EXPECT_NE(shard_fingerprint(spec, {1, 3}), shard_fingerprint(spec, {2, 3}));
-  EXPECT_EQ(shard_fingerprint(spec, {0, 1}), spec_fingerprint(spec));
+  // The compaction snapshot a finished worker leaves is this document, its
+  // cells the finished accumulators.
+  const std::string dir = run_cells(one_block, {0, 1}, 2, "snapshot");
+  std::ifstream in(dir + "/compacted.ckpt", std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  const Checkpoint snapshot = parse_checkpoint(text.str());
+  const CampaignResult direct = run_campaign(one_block, {.threads = 1});
+  ASSERT_EQ(snapshot.cells.size(), direct.scenarios.size());
+  for (std::size_t i = 0; i < direct.scenarios.size(); ++i) {
+    EXPECT_EQ(snapshot.cells[i].prefix.label, direct.scenarios[i].label);
+    EXPECT_EQ(snapshot.cells[i].prefix.mttf.m2, direct.scenarios[i].mttf.m2);
+  }
 }
 
 TEST(Shard, ValidationRejectsBadCoordinates) {
   const ScenarioSpec spec = small_spec();
-  CampaignOptions options;
-  options.threads = 1;
-  options.shard = {3, 2};  // index out of range
-  EXPECT_THROW(run_campaign(spec, options), std::runtime_error);
-  options.shard = {0, 200};  // more shards than cells
-  EXPECT_THROW(run_campaign(spec, options), std::runtime_error);
+  EXPECT_THROW(elastic::run_elastic_worker(spec, durable(fresh_dir("bad0"), 1, {3, 2})),
+               std::runtime_error);  // index out of range
+  EXPECT_THROW(elastic::run_elastic_worker(spec, durable(fresh_dir("bad1"), 1, {0, 200})),
+               std::runtime_error);  // more slices than cells
 }
 
 TEST(CampaignReport, ValidateAcceptsOwnOutputAndRejectsGarbage) {
@@ -1007,26 +1076,8 @@ TEST(Collective, ReportIsByteIdenticalAcrossThreadsResumeAndShards) {
   const ScenarioSpec spec = collective_spec();
   const std::string serial = campaign_report_json(run_campaign(spec, {.threads = 1}));
   EXPECT_EQ(serial, campaign_report_json(run_campaign(spec, {.threads = 3})));
-
-  // Crash after two blocks, resume: same bytes.
-  CampaignOptions crash;
-  crash.threads = 1;
-  crash.checkpoint_path = ::testing::TempDir() + "/ftdb_coll.ckpt";
-  crash.stop_after_blocks = 2;
-  EXPECT_THROW(run_campaign(spec, crash), CampaignAborted);
-  CampaignOptions resume = crash;
-  resume.threads = 2;
-  resume.stop_after_blocks = 0;
-  resume.resume = true;
-  const CampaignResult resumed = run_campaign(spec, resume);
-  EXPECT_GE(resumed.resumed_blocks, 2u);
-  EXPECT_EQ(campaign_report_json(resumed), serial);
-
-  // Two shards merged: same bytes again.
-  const Checkpoint s0 = run_shard(spec, {0, 2}, 2, "coll0");
-  const Checkpoint s1 = run_shard(spec, {1, 2}, 3, "coll1");
-  EXPECT_EQ(campaign_report_json(merge_checkpoints(spec, {s0, s1})), serial);
-
+  // Crash after two blocks and resume, then two --cells slices: same bytes.
+  expect_durable_drills(spec, serial, "coll");
   // And the validator accepts the document, slowdown-curve invariants included.
   EXPECT_EQ(validate_campaign_report(serial), 4u);
 }
@@ -1203,7 +1254,7 @@ ScenarioSpec bus_fault_spec() {
   spec.spares = {0, 2};
   spec.fault_models = {{FaultModelKind::BusIid, 0.04, 1.0, 100.0, 1.0},
                        {FaultModelKind::BusClustered, 0.02, 1.0, 100.0, 1.0}};
-  spec.metrics = {true, false, true};
+  spec.metrics = metric_set(true, false, true);
   return spec;
 }
 
@@ -1302,25 +1353,8 @@ TEST(BusFaults, ReportIsByteIdenticalAcrossThreadsResumeAndShards) {
   const ScenarioSpec spec = bus_fault_spec();
   const std::string serial = campaign_report_json(run_campaign(spec, {.threads = 1}));
   EXPECT_EQ(serial, campaign_report_json(run_campaign(spec, {.threads = 3})));
-
-  // Crash after two blocks, resume: same bytes.
-  CampaignOptions crash;
-  crash.threads = 1;
-  crash.checkpoint_path = ::testing::TempDir() + "/ftdb_bus.ckpt";
-  crash.stop_after_blocks = 2;
-  EXPECT_THROW(run_campaign(spec, crash), CampaignAborted);
-  CampaignOptions resume = crash;
-  resume.threads = 2;
-  resume.stop_after_blocks = 0;
-  resume.resume = true;
-  const CampaignResult resumed = run_campaign(spec, resume);
-  EXPECT_GE(resumed.resumed_blocks, 2u);
-  EXPECT_EQ(campaign_report_json(resumed), serial);
-
-  // Two shards merged: same bytes again, and the validator accepts them.
-  const Checkpoint s0 = run_shard(spec, {0, 2}, 2, "bus0");
-  const Checkpoint s1 = run_shard(spec, {1, 2}, 3, "bus1");
-  EXPECT_EQ(campaign_report_json(merge_checkpoints(spec, {s0, s1})), serial);
+  // Crash after two blocks and resume, then two --cells slices: same bytes.
+  expect_durable_drills(spec, serial, "bus");
   EXPECT_EQ(validate_campaign_report(serial), 4u);
 }
 
@@ -1416,22 +1450,7 @@ TEST(Traffic, ReportIsByteIdenticalAcrossThreadsResumeAndShards) {
   const std::string serial = campaign_report_json(run_campaign(spec, {.threads = 1}));
   EXPECT_EQ(serial, campaign_report_json(run_campaign(spec, {.threads = 3})));
 
-  CampaignOptions crash;
-  crash.threads = 1;
-  crash.checkpoint_path = ::testing::TempDir() + "/ftdb_traffic.ckpt";
-  crash.stop_after_blocks = 2;
-  EXPECT_THROW(run_campaign(spec, crash), CampaignAborted);
-  CampaignOptions resume = crash;
-  resume.threads = 2;
-  resume.stop_after_blocks = 0;
-  resume.resume = true;
-  const CampaignResult resumed = run_campaign(spec, resume);
-  EXPECT_GE(resumed.resumed_blocks, 2u);
-  EXPECT_EQ(campaign_report_json(resumed), serial);
-
-  const Checkpoint s0 = run_shard(spec, {0, 2}, 2, "traf0");
-  const Checkpoint s1 = run_shard(spec, {1, 2}, 3, "traf1");
-  EXPECT_EQ(campaign_report_json(merge_checkpoints(spec, {s0, s1})), serial);
+  expect_durable_drills(spec, serial, "traffic");
   EXPECT_EQ(validate_campaign_report(serial), 4u);
 }
 

@@ -5,7 +5,6 @@
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "campaign/elastic/blocklog.hpp"
@@ -33,13 +32,6 @@ struct ScratchDir {
   std::string str() const { return path.string(); }
   std::string sub(const std::string& leaf) const { return (path / leaf).string(); }
 };
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
 
 /// Two cells, 3 blocks each (256 + 256 + 8 trials) — big enough to exercise
 /// partial prefixes, small enough to run in milliseconds.
@@ -138,6 +130,23 @@ TEST(Lease, GarbledStampCountsAsStale) {
   bool reclaimed = false;
   Lease taken = Lease::try_acquire(path, "rescuer", 60, &reclaimed);
   EXPECT_TRUE(taken.held());
+  EXPECT_TRUE(reclaimed);
+}
+
+TEST(Lease, OwnWorkerIdReclaimsAtOnce) {
+  const ScratchDir dir("lease-own");
+  const std::string path = dir.sub("cell-0.lease");
+  {
+    // A crashed run of worker "alpha" leaves a lease with a fresh heartbeat.
+    Lease doomed = Lease::try_acquire(path, "alpha", 60);
+    ASSERT_TRUE(doomed.held());
+    doomed.abandon();
+  }
+  Lease other = Lease::try_acquire(path, "beta", 60);
+  EXPECT_FALSE(other.held());  // still live to everyone else
+  bool reclaimed = false;
+  Lease again = Lease::try_acquire(path, "alpha", 60, &reclaimed);
+  EXPECT_TRUE(again.held());  // the restarted "alpha" need not wait out the TTL
   EXPECT_TRUE(reclaimed);
 }
 
@@ -248,7 +257,7 @@ TEST(ElasticWorker, SingleWorkerMatchesSerialByteForByte) {
   EXPECT_EQ(r.blocks_run, 6u);  // 2 cells x 3 blocks
   EXPECT_EQ(r.cells_leased, 2u);
 
-  const CampaignResult elastic = merge_elastic(spec, dir.str());
+  const CampaignResult elastic = merge_elastic(spec, {dir.str()});
   const CampaignResult serial = run_campaign(spec, {});
   EXPECT_EQ(campaign_report_json(elastic), campaign_report_json(serial));
 }
@@ -285,9 +294,26 @@ TEST(ElasticWorker, CrashedWorkerLeavesLeaseAndRescuerMatchesSerial) {
   EXPECT_EQ(rescue.blocks_skipped, 2u);  // the crashed worker's durable blocks
   EXPECT_EQ(rescue.blocks_run, 4u);
 
-  const CampaignResult elastic = merge_elastic(spec, dir.str());
+  const CampaignResult elastic = merge_elastic(spec, {dir.str()});
   const CampaignResult serial = run_campaign(spec, {});
   EXPECT_EQ(campaign_report_json(elastic), campaign_report_json(serial));
+}
+
+TEST(ElasticWorker, FillsThePoolAcrossOneBlockCells) {
+  const ScratchDir dir("elastic-fill");
+  ScenarioSpec spec = tiny_spec();
+  spec.trials = 64;  // one block per cell
+  spec.spares = {0, 1, 2, 3};
+  ElasticOptions opt = quick_options(dir.str(), "filler");
+  opt.threads = 4;
+  const ElasticResult r = run_elastic_worker(spec, opt);
+  EXPECT_TRUE(r.campaign_complete);
+  // The first claim sweep leases a cell per idle thread, not one cell.
+  EXPECT_GE(r.max_cells_held, 4u);
+  EXPECT_EQ(r.cells_leased, 4u);
+  EXPECT_EQ(r.blocks_run, 4u);
+  EXPECT_EQ(campaign_report_json(merge_elastic(spec, {dir.str()})),
+            campaign_report_json(run_campaign(spec, {})));
 }
 
 TEST(ElasticWorker, DirectoryRefusesADifferentSpec) {
@@ -308,7 +334,8 @@ TEST(ElasticWorker, RestartedWorkerIdReusesItsLogSafely) {
   EXPECT_THROW(run_elastic_worker(spec, crashy), ElasticAborted);
 
   // Same worker id, full run: its own pre-crash records must fold forward,
-  // not be lost or double-counted. The stale self-lease ages out first.
+  // not be lost or double-counted. The self-lease is aged here as well, so
+  // the run also covers a stale (not only a self-stamped) reclaim.
   for (const auto& entry : fs::directory_iterator(dir.sub("leases"))) {
     auto stamp = read_lease(entry.path().string());
     if (!stamp.has_value()) continue;
@@ -321,7 +348,7 @@ TEST(ElasticWorker, RestartedWorkerIdReusesItsLogSafely) {
   EXPECT_EQ(again.blocks_run + again.blocks_skipped, 6u);
   EXPECT_EQ(again.blocks_skipped, 1u);
 
-  const CampaignResult elastic = merge_elastic(spec, dir.str());
+  const CampaignResult elastic = merge_elastic(spec, {dir.str()});
   const CampaignResult serial = run_campaign(spec, {});
   EXPECT_EQ(campaign_report_json(elastic), campaign_report_json(serial));
 }
@@ -362,7 +389,7 @@ TEST(PartialReport, CoverageStampsMatchDurableBlocks) {
   EXPECT_EQ(doc.at("scenarios").array.size(), 2u);
 
   // While the full merge refuses the incomplete directory.
-  EXPECT_THROW(merge_elastic(spec, dir.str()), std::runtime_error);
+  EXPECT_THROW(merge_elastic(spec, {dir.str()}), std::runtime_error);
 }
 
 TEST(PartialReport, CompletedCellsAreByteIdenticalToTheFinalReport) {
@@ -370,6 +397,10 @@ TEST(PartialReport, CompletedCellsAreByteIdenticalToTheFinalReport) {
   const ScenarioSpec spec = tiny_spec();
   ElasticOptions opt = quick_options(dir.str(), "w1");
   opt.stop_after_blocks = 3;  // exactly one cell completed, one untouched
+  // Single-threaded so the three durable blocks are the first-leased cell's:
+  // with a pool, a second thread claims the other cell once the first
+  // cell's blocks are all started.
+  opt.threads = 1;
   EXPECT_THROW(run_elastic_worker(spec, opt), ElasticAborted);
 
   const std::string partial = partial_elastic_report_json(spec, dir.str());
@@ -384,7 +415,7 @@ TEST(PartialReport, CompletedCellsAreByteIdenticalToTheFinalReport) {
     std::ofstream(entry.path(), std::ios::trunc) << lease_stamp_json(*stamp);
   }
   run_elastic_worker(spec, quick_options(dir.str(), "w2"));
-  const std::string full = campaign_report_json(merge_elastic(spec, dir.str()));
+  const std::string full = campaign_report_json(merge_elastic(spec, {dir.str()}));
 
   // Every scenario the partial report showed as complete appears verbatim in
   // the final report: the serialized object is a byte-identical substring.

@@ -161,7 +161,9 @@ TEST(PrunedEmbedding, MatchesTheReferenceOnMixedSmallInstances) {
     const auto pruned = find_subgraph_embedding(pattern, host);
     const auto reference = find_subgraph_embedding_reference(pattern, host);
     ASSERT_EQ(pruned.has_value(), reference.has_value()) << "case " << i;
-    if (pruned.has_value()) EXPECT_EQ(*pruned, *reference) << "case " << i;
+    if (pruned.has_value()) {
+      EXPECT_EQ(*pruned, *reference) << "case " << i;
+    }
   }
 }
 

@@ -171,7 +171,9 @@ TEST_P(DeBruijnRouterGrid, HealthyBackendsMatchOracleHopForHop) {
   // with zero exceptions — O(N + E) memory, far under the N^2 slab.
   EXPECT_TRUE(compressed.uses_reference_shape());
   EXPECT_EQ(compressed.num_exceptions(), 0u);
-  if (g.num_nodes() >= 64) EXPECT_LT(compressed.memory_bytes(), table.memory_bytes());
+  if (g.num_nodes() >= 64) {
+    EXPECT_LT(compressed.memory_bytes(), table.memory_bytes());
+  }
 }
 
 TEST_P(DeBruijnRouterGrid, ReconfiguredDilationOneKeepsImplicitRouting) {
@@ -239,8 +241,13 @@ INSTANTIATE_TEST_SUITE_P(Grid, DeBruijnRouterGrid,
                                            Params{3, 2}, Params{3, 3}, Params{3, 4},
                                            Params{4, 2}, Params{4, 3}, Params{4, 4}),
                          [](const ::testing::TestParamInfo<Params>& info) {
-                           return "m" + std::to_string(info.param.m) + "_h" +
-                                  std::to_string(info.param.h);
+                           // Appended, not `"m" + std::to_string(...)`: gcc 12
+                           // misreports that form under -Wrestrict.
+                           std::string name = "m";
+                           name += std::to_string(info.param.m);
+                           name += "_h";
+                           name += std::to_string(info.param.h);
+                           return name;
                          });
 
 class SeRouterGrid : public ::testing::TestWithParam<unsigned> {};

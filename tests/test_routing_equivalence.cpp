@@ -70,8 +70,13 @@ INSTANTIATE_TEST_SUITE_P(AllSmallBases, RoutingEquivalence,
                                            Params{3, 2}, Params{3, 3}, Params{3, 4},
                                            Params{4, 2}, Params{4, 3}, Params{4, 4}),
                          [](const ::testing::TestParamInfo<Params>& info) {
-                           return "m" + std::to_string(info.param.m) + "_h" +
-                                  std::to_string(info.param.h);
+                           // Appended, not `"m" + std::to_string(...)`: gcc 12
+                           // misreports that form under -Wrestrict.
+                           std::string name = "m";
+                           name += std::to_string(info.param.m);
+                           name += "_h";
+                           name += std::to_string(info.param.h);
+                           return name;
                          });
 
 }  // namespace

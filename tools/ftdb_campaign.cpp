@@ -1,19 +1,22 @@
 // ftdb_campaign — Monte Carlo fault-injection campaigns from the command
 // line. A campaign spec (JSON) declares a grid of topologies x spare budgets
-// x fault models; the engine runs 256-trial blocks of every cell through a
-// work-stealing thread pool and emits deterministic JSON/CSV/markdown
-// reports (byte-identical for any --threads value, across --checkpoint /
-// --resume boundaries, and across --shard / merge splits).
+// x fault models; the engine runs 256-trial blocks of every cell on one
+// block pool and emits deterministic JSON/CSV/markdown reports
+// (byte-identical for any --threads value, across crashed-and-resumed
+// workers, and across --cells splits).
 //
 //   ftdb_campaign example-spec > demo.json
 //   ftdb_campaign run --spec demo.json --out report.json --md report.md
-//   ftdb_campaign run --spec big.json --checkpoint big.ckpt --checkpoint-every 30
-//   ftdb_campaign run --spec big.json --checkpoint big.ckpt --resume   # pick up
 //
-//   # distributed: one shard per machine, then fuse the partial checkpoints
-//   ftdb_campaign run --spec big.json --shard 0/2 --checkpoint s0.ckpt
-//   ftdb_campaign run --spec big.json --shard 1/2 --checkpoint s1.ckpt
-//   ftdb_campaign merge --spec big.json --out report.json s0.ckpt s1.ckpt
+//   # durable: blocks land in DIR's block log; rerunning with the same
+//   # --worker-id after a crash resumes at once
+//   ftdb_campaign run --spec big.json --elastic big.d --worker-id me
+//   ftdb_campaign merge --elastic big.d --out report.json
+//
+//   # static split: one cell filter per machine, then merge the directories
+//   ftdb_campaign run --spec big.json --elastic d0 --cells 0/2
+//   ftdb_campaign run --spec big.json --elastic d1 --cells 1/2
+//   ftdb_campaign merge --elastic d0 d1 --out report.json
 //
 //   # elastic: any number of workers join/leave through a shared directory;
 //   # dead workers' cell leases age out and are reclaimed
@@ -43,8 +46,8 @@ int usage() {
   std::cerr
       << "usage:\n"
          "  ftdb_campaign run --spec FILE [options]\n"
-         "  ftdb_campaign merge --spec FILE --out FILE [--csv FILE] [--md FILE] CKPT...\n"
-         "  ftdb_campaign merge --elastic DIR [--partial] [--out FILE] [--csv FILE] [--md FILE]\n"
+         "  ftdb_campaign merge --elastic DIR [DIR...] [--out FILE] [--csv FILE] [--md FILE]\n"
+         "  ftdb_campaign merge --elastic DIR --partial [--out FILE]\n"
          "  ftdb_campaign example-spec [--full]\n"
          "  ftdb_campaign validate-spec SPEC.json\n"
          "  ftdb_campaign validate REPORT.json\n"
@@ -55,33 +58,28 @@ int usage() {
          "  --csv FILE              also write a CSV report\n"
          "  --md FILE               also write a markdown report\n"
          "  --threads N             worker threads (0 = hardware, default 0)\n"
-         "  --checkpoint FILE       write block-granular checkpoints to FILE\n"
-         "  --checkpoint-every SEC  min seconds between checkpoint writes\n"
-         "                          (default 0 = after every completed block)\n"
-         "  --resume                load --checkpoint and skip completed blocks\n"
-         "  --shard I/N             run only the cells shard I of N owns and write a\n"
-         "                          mergeable partial checkpoint (requires --checkpoint;\n"
-         "                          no report is emitted — `merge` produces it)\n"
-         "  --stop-after-blocks N   crash-simulation hook: checkpoint and abort (exit 3)\n"
-         "                          once N trial blocks completed (elastic: the held cell\n"
-         "                          lease is left behind, like a hard-killed worker)\n"
          "  --quiet                 no per-scenario progress on stderr\n"
          "\n"
-         "elastic run options (workers coordinate through a shared directory):\n"
-         "  --elastic DIR           join the elastic campaign at DIR: lease cells, append\n"
+         "durable run options (workers coordinate through a shared directory):\n"
+         "  --elastic DIR           join the campaign at DIR: lease cells, append\n"
          "                          completed blocks to DIR/logs/<worker>.blk, reclaim\n"
          "                          dead workers' leases (no report; `merge --elastic`\n"
-         "                          produces it). Excludes --checkpoint/--resume/--shard\n"
-         "  --worker-id ID          stable worker name (default: <host>-<pid>)\n"
+         "                          produces it)\n"
+         "  --worker-id ID          stable worker name (default: <host>-<pid>); a rerun\n"
+         "                          with the same id reclaims its own leases at once.\n"
+         "                          Two live workers must not share an id\n"
+         "  --cells I/N             claim only the cells slice I of N owns (round-robin\n"
+         "                          by cell index); merge the slices' directories\n"
          "  --lease-ttl SEC         lease staleness horizon (default 30)\n"
+         "  --stop-after-blocks N   crash-simulation hook: abort (exit 3) once N trial\n"
+         "                          blocks are durable, leaving the held leases behind\n"
          "  --no-fsync              skip fsync on block appends (tests only)\n"
          "\n"
-         "merge fuses the partial checkpoints of a sharded campaign into the full\n"
-         "report: fingerprints are checked, overlapping or missing cells rejected,\n"
-         "and the output is byte-identical to a single-machine run of the spec.\n"
-         "merge --elastic reads the campaign from DIR (spec.json + compacted.ckpt +\n"
-         "block logs); --partial emits a stamped JSON coverage snapshot of a still-\n"
-         "running campaign instead of requiring completion.\n";
+         "merge --elastic reads the campaign from each DIR (spec.json + compacted.ckpt +\n"
+         "block logs). Every DIR must host the same spec and every cell must be complete\n"
+         "in one of them; the report is byte-identical to a single-machine run.\n"
+         "--partial emits a stamped JSON coverage snapshot of a still-running campaign\n"
+         "instead of requiring completion.\n";
   return 2;
 }
 
@@ -100,12 +98,12 @@ bool write_file(const std::string& path, const std::string& content) {
   return static_cast<bool>(out.flush());
 }
 
-ftdb::campaign::ShardSpec parse_shard_arg(const std::string& s) {
+ftdb::campaign::ShardSpec parse_cells_arg(const std::string& s) {
   unsigned index = 0;
   unsigned count = 0;
   char tail = '\0';
   if (std::sscanf(s.c_str(), "%u/%u%c", &index, &count, &tail) != 2 || count == 0) {
-    std::cerr << "ftdb_campaign: --shard wants I/N (e.g. 0/4), got \"" << s << "\"\n";
+    std::cerr << "ftdb_campaign: --cells wants I/N (e.g. 0/4), got \"" << s << "\"\n";
     std::exit(2);
   }
   return {index, count};
@@ -141,9 +139,9 @@ int run_command(const std::vector<std::string>& args) {
   std::string csv_path;
   std::string md_path;
   CampaignOptions options;
-  ftdb::campaign::elastic::ElasticOptions elastic;
+  elastic::ElasticOptions durable;
   bool quiet = false;
-  bool sharded = false;
+  bool durable_only = false;  // an option given that only --elastic takes
 
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
@@ -164,25 +162,23 @@ int run_command(const std::vector<std::string>& args) {
       md_path = next();
     } else if (arg == "--threads") {
       options.threads = static_cast<unsigned>(std::stoul(next()));
-    } else if (arg == "--checkpoint") {
-      options.checkpoint_path = next();
-    } else if (arg == "--checkpoint-every") {
-      options.checkpoint_every_seconds = std::stod(next());
-    } else if (arg == "--resume") {
-      options.resume = true;
-    } else if (arg == "--shard") {
-      options.shard = parse_shard_arg(next());
-      sharded = !options.shard.whole_campaign();
-    } else if (arg == "--stop-after-blocks") {
-      options.stop_after_blocks = std::stoull(next());
     } else if (arg == "--elastic") {
-      elastic.dir = next();
+      durable.dir = next();
     } else if (arg == "--worker-id") {
-      elastic.worker_id = next();
+      durable.worker_id = next();
+      durable_only = true;
+    } else if (arg == "--cells") {
+      durable.cells = parse_cells_arg(next());
+      durable_only = true;
     } else if (arg == "--lease-ttl") {
-      elastic.lease_ttl_seconds = std::stoull(next());
+      durable.lease_ttl_seconds = std::stoull(next());
+      durable_only = true;
+    } else if (arg == "--stop-after-blocks") {
+      durable.stop_after_blocks = std::stoull(next());
+      durable_only = true;
     } else if (arg == "--no-fsync") {
-      elastic.fsync = false;
+      durable.fsync = false;
+      durable_only = true;
     } else if (arg == "--quiet") {
       quiet = true;
     } else {
@@ -194,55 +190,14 @@ int run_command(const std::vector<std::string>& args) {
     std::cerr << "ftdb_campaign: run needs --spec\n";
     return usage();
   }
-  if (!elastic.dir.empty()) {
-    if (!options.checkpoint_path.empty() || options.resume || sharded) {
-      std::cerr << "ftdb_campaign: --elastic has its own checkpointing; it excludes "
-                   "--checkpoint, --resume, and --shard\n";
-      return usage();
-    }
-    if (!(out_path.empty() && csv_path.empty() && md_path.empty())) {
-      std::cerr << "ftdb_campaign: --elastic does not emit reports; run `merge --elastic` "
-                   "on the shared directory instead\n";
-      return usage();
-    }
-    const auto spec_text = read_file(spec_path);
-    if (!spec_text) {
-      std::cerr << "ftdb_campaign: cannot read " << spec_path << "\n";
-      return 2;
-    }
-    using namespace ftdb::campaign::elastic;
-    elastic.threads = options.threads;
-    elastic.stop_after_blocks = options.stop_after_blocks;
-    if (!quiet) elastic.progress = &std::cerr;
-    const ScenarioSpec spec = parse_scenario_spec(*spec_text);
-    try {
-      const ElasticResult r = run_elastic_worker(spec, elastic);
-      if (!quiet) {
-        std::cerr << "elastic worker done: " << r.blocks_run << " blocks run, "
-                  << r.blocks_skipped << " already durable, " << r.cells_leased
-                  << " cells leased, " << r.leases_reclaimed << " stale leases reclaimed"
-                  << (r.campaign_complete ? "; campaign complete\n" : "\n");
-      }
-    } catch (const ElasticAborted& aborted) {
-      std::cerr << "ftdb_campaign: " << aborted.what() << "; durable blocks stay in "
-                << elastic.dir << "\n";
-      return 3;
-    }
-    return 0;
-  }
-  if (options.stop_after_blocks != 0 && options.checkpoint_path.empty()) {
-    std::cerr << "ftdb_campaign: --stop-after-blocks needs --checkpoint (aborting without one "
-                 "would just discard the completed blocks)\n";
+  if (durable.dir.empty() && durable_only) {
+    std::cerr << "ftdb_campaign: --worker-id, --cells, --lease-ttl, --stop-after-blocks and "
+                 "--no-fsync need --elastic DIR\n";
     return usage();
   }
-  if (sharded && options.checkpoint_path.empty()) {
-    std::cerr << "ftdb_campaign: --shard needs --checkpoint (the partial checkpoint is the "
-                 "shard's output; merge the shards to get the report)\n";
-    return usage();
-  }
-  if (sharded && !(out_path.empty() && csv_path.empty() && md_path.empty())) {
-    std::cerr << "ftdb_campaign: --shard does not emit reports; run `merge` on the partial "
-                 "checkpoints instead\n";
+  if (!durable.dir.empty() && !(out_path.empty() && csv_path.empty() && md_path.empty())) {
+    std::cerr << "ftdb_campaign: --elastic does not emit reports; run `merge --elastic` "
+                 "on the directory instead\n";
     return usage();
   }
   const auto spec_text = read_file(spec_path);
@@ -250,30 +205,33 @@ int run_command(const std::vector<std::string>& args) {
     std::cerr << "ftdb_campaign: cannot read " << spec_path << "\n";
     return 2;
   }
-  if (!quiet) options.progress = &std::cerr;
-
   const ScenarioSpec spec = parse_scenario_spec(*spec_text);
-  CampaignResult result;
-  try {
-    result = run_campaign(spec, options);
-  } catch (const CampaignAborted& aborted) {
-    std::cerr << "ftdb_campaign: " << aborted.what() << "; checkpoint "
-              << options.checkpoint_path << " is resumable\n";
-    return 3;
+
+  if (!durable.dir.empty()) {
+    durable.threads = options.threads;
+    if (!quiet) durable.progress = &std::cerr;
+    try {
+      const elastic::ElasticResult r = elastic::run_elastic_worker(spec, durable);
+      if (!quiet) {
+        std::cerr << "elastic worker done: " << r.blocks_run << " blocks run, "
+                  << r.blocks_skipped << " already durable, " << r.cells_leased
+                  << " cells leased, " << r.leases_reclaimed << " stale leases reclaimed"
+                  << (r.campaign_complete ? "; campaign complete\n" : "\n");
+      }
+    } catch (const elastic::ElasticAborted& aborted) {
+      std::cerr << "ftdb_campaign: " << aborted.what() << "; durable blocks stay in "
+                << durable.dir << "\n";
+      return 3;
+    }
+    return 0;
   }
 
-  if (!sharded && !emit_reports(result, out_path, csv_path, md_path)) return 2;
+  if (!quiet) options.progress = &std::cerr;
+  const CampaignResult result = run_campaign(spec, options);
+  if (!emit_reports(result, out_path, csv_path, md_path)) return 2;
   if (!quiet) {
-    std::size_t owned = 0;
-    for (const ScenarioResult& r : result.scenarios) owned += r.trials > 0 ? 1 : 0;
-    std::cerr << "campaign \"" << spec.name << "\": " << owned << " scenarios x " << spec.trials
-              << " trials done";
-    if (sharded) std::cerr << " (shard " << options.shard.label() << ")";
-    if (result.resumed_scenarios > 0 || result.resumed_blocks > 0) {
-      std::cerr << " (" << result.resumed_scenarios << " scenarios / " << result.resumed_blocks
-                << " blocks resumed from checkpoint)";
-    }
-    std::cerr << "\n";
+    std::cerr << "campaign \"" << spec.name << "\": " << result.scenarios.size()
+              << " scenarios x " << spec.trials << " trials done\n";
   }
   return 0;
 }
@@ -284,9 +242,8 @@ int merge_command(const std::vector<std::string>& args) {
   std::string out_path;
   std::string csv_path;
   std::string md_path;
-  std::string elastic_dir;
+  std::vector<std::string> dirs;
   bool partial_snapshot = false;
-  std::vector<std::string> partial_paths;
 
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
@@ -306,90 +263,56 @@ int merge_command(const std::vector<std::string>& args) {
     } else if (arg == "--md") {
       md_path = next();
     } else if (arg == "--elastic") {
-      elastic_dir = next();
+      dirs.push_back(next());
     } else if (arg == "--partial") {
       partial_snapshot = true;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "ftdb_campaign: unknown option " << arg << "\n";
       return usage();
+    } else if (!dirs.empty()) {
+      dirs.push_back(arg);  // merge --elastic DIR [DIR...]
     } else {
-      partial_paths.push_back(arg);
-    }
-  }
-  if (!elastic_dir.empty()) {
-    if (!partial_paths.empty()) {
-      std::cerr << "ftdb_campaign: merge --elastic reads the shared directory; it takes no "
-                   "checkpoint arguments\n";
+      std::cerr << "ftdb_campaign: merge reads elastic directories; use --elastic DIR\n";
       return usage();
     }
-    // The directory carries its own canonical spec; an explicit --spec just
-    // has to agree with it.
-    ScenarioSpec spec = elastic::load_elastic_spec(elastic_dir);
-    if (!spec_path.empty()) {
-      const auto spec_text = read_file(spec_path);
-      if (!spec_text) {
-        std::cerr << "ftdb_campaign: cannot read " << spec_path << "\n";
-        return 2;
-      }
-      if (spec_fingerprint(parse_scenario_spec(*spec_text)) != spec_fingerprint(spec)) {
-        std::cerr << "ftdb_campaign: --spec disagrees with " << elastic_dir << "/spec.json\n";
-        return 1;
-      }
-    }
-    if (partial_snapshot) {
-      if (!csv_path.empty() || !md_path.empty()) {
-        std::cerr << "ftdb_campaign: --partial emits the JSON snapshot only\n";
-        return usage();
-      }
-      const std::string report = elastic::partial_elastic_report_json(spec, elastic_dir);
-      if (out_path.empty()) {
-        std::cout << report;
-      } else if (!write_file(out_path, report)) {
-        std::cerr << "ftdb_campaign: cannot write " << out_path << "\n";
-        return 2;
-      }
-      return 0;
-    }
-    const CampaignResult result = elastic::merge_elastic(spec, elastic_dir);
-    if (!emit_reports(result, out_path, csv_path, md_path)) return 2;
-    std::cerr << "merged elastic campaign " << elastic_dir << ": " << result.scenarios.size()
-              << " scenarios x " << spec.trials << " trials\n";
-    return 0;
   }
-  if (partial_snapshot) {
-    std::cerr << "ftdb_campaign: --partial needs --elastic DIR\n";
+  if (dirs.empty()) {
+    std::cerr << "ftdb_campaign: merge needs --elastic DIR\n";
     return usage();
   }
-  if (spec_path.empty() || partial_paths.empty()) {
-    std::cerr << "ftdb_campaign: merge needs --spec and at least one checkpoint\n";
-    return usage();
-  }
-  const auto spec_text = read_file(spec_path);
-  if (!spec_text) {
-    std::cerr << "ftdb_campaign: cannot read " << spec_path << "\n";
-    return 2;
-  }
-  const ScenarioSpec spec = parse_scenario_spec(*spec_text);
-
-  std::vector<Checkpoint> partials;
-  partials.reserve(partial_paths.size());
-  for (const std::string& path : partial_paths) {
-    const auto text = read_file(path);
-    if (!text) {
-      std::cerr << "ftdb_campaign: cannot read " << path << "\n";
+  // The directories carry their own canonical spec; an explicit --spec just
+  // has to agree with it.
+  const ScenarioSpec spec = elastic::load_elastic_spec(dirs.front());
+  if (!spec_path.empty()) {
+    const auto spec_text = read_file(spec_path);
+    if (!spec_text) {
+      std::cerr << "ftdb_campaign: cannot read " << spec_path << "\n";
       return 2;
     }
-    try {
-      partials.push_back(parse_checkpoint(*text));
-    } catch (const std::exception& e) {
-      std::cerr << "ftdb_campaign: " << path << ": " << e.what() << "\n";
+    if (spec_fingerprint(parse_scenario_spec(*spec_text)) != spec_fingerprint(spec)) {
+      std::cerr << "ftdb_campaign: --spec disagrees with " << dirs.front() << "/spec.json\n";
       return 1;
     }
   }
-  const CampaignResult result = merge_checkpoints(spec, partials);
+  if (partial_snapshot) {
+    if (dirs.size() != 1 || !csv_path.empty() || !md_path.empty()) {
+      std::cerr << "ftdb_campaign: --partial emits the JSON snapshot of one directory only\n";
+      return usage();
+    }
+    const std::string report = elastic::partial_elastic_report_json(spec, dirs.front());
+    if (out_path.empty()) {
+      std::cout << report;
+    } else if (!write_file(out_path, report)) {
+      std::cerr << "ftdb_campaign: cannot write " << out_path << "\n";
+      return 2;
+    }
+    return 0;
+  }
+  const CampaignResult result = elastic::merge_elastic(spec, dirs);
   if (!emit_reports(result, out_path, csv_path, md_path)) return 2;
-  std::cerr << "merged " << partials.size() << " partial checkpoint(s): "
-            << result.scenarios.size() << " scenarios x " << spec.trials << " trials\n";
+  std::cerr << "merged elastic campaign from " << dirs.size() << " director"
+            << (dirs.size() == 1 ? "y" : "ies") << ": " << result.scenarios.size()
+            << " scenarios x " << spec.trials << " trials\n";
   return 0;
 }
 
@@ -420,7 +343,7 @@ int main(int argc, char** argv) {
       const ScenarioSpec spec = parse_scenario_spec(*text);
       // The canonical form must be a fixed point: parse -> write -> parse ->
       // write yields the same bytes (and hence the same fingerprint), or
-      // checkpoints and sharded merges could never agree on the stamp.
+      // elastic directories and their merges could never agree on the stamp.
       const std::string canon = scenario_spec_to_json(spec);
       const ScenarioSpec again = parse_scenario_spec(canon);
       if (scenario_spec_to_json(again) != canon) {
