@@ -1,5 +1,6 @@
 #include "campaign/elastic/elastic.hpp"
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -93,7 +94,50 @@ ScenarioSpec load_elastic_spec(const std::string& dir) {
   return parse_scenario_spec(read_text_file(spec_path(dir)));
 }
 
-ElasticProgress load_elastic_progress(const ScenarioSpec& spec, const std::string& dir) {
+std::optional<ProgressCache::Stamp> ProgressCache::stamp_of(const std::string& path) {
+  struct stat st {};
+  if (::stat(path.c_str(), &st) != 0) return std::nullopt;
+  return Stamp{static_cast<std::uint64_t>(st.st_dev), static_cast<std::uint64_t>(st.st_ino),
+               static_cast<std::uint64_t>(st.st_size),
+               static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1000000000 + st.st_mtim.tv_nsec};
+}
+
+const Checkpoint* ProgressCache::checkpoint(const std::string& path) {
+  const std::optional<Stamp> stamp = stamp_of(path);
+  if (!stamp) {
+    ckpt_stamp_.reset();
+    ckpt_.reset();
+    return nullptr;
+  }
+  if (ckpt_stamp_ != stamp || !ckpt_) {
+    ckpt_.reset();  // a failed parse must not leave the old one under the new stamp
+    ckpt_ = parse_checkpoint(read_text_file(path));
+    ckpt_stamp_ = stamp;
+    ++parses_;
+  }
+  return &*ckpt_;
+}
+
+const std::vector<BlockRecord>& ProgressCache::log(const std::string& path,
+                                                   std::uint64_t fingerprint) {
+  // Logs are never removed, so a log that cannot be stamped is an I/O fault.
+  const std::optional<Stamp> stamp = stamp_of(path);
+  if (!stamp) throw std::runtime_error("elastic: cannot stat " + path);
+  auto& [cached_stamp, records] = logs_[path];
+  if (cached_stamp != *stamp) {
+    records.clear();  // a failed read must not leave the old records under the new stamp
+    cached_stamp = Stamp{};
+    records = BlockLog::read(path, fingerprint);
+    cached_stamp = *stamp;
+    ++parses_;
+  }
+  return records;
+}
+
+ElasticProgress load_elastic_progress(const ScenarioSpec& spec, const std::string& dir,
+                                      ProgressCache* cache) {
+  ProgressCache local;
+  ProgressCache& files = cache != nullptr ? *cache : local;
   const std::vector<ScenarioCase> cells = expand_grid(spec);
   validate_spec(spec, cells);
   const std::uint64_t spec_fp = spec_fingerprint(spec);
@@ -111,9 +155,8 @@ ElasticProgress load_elastic_progress(const ScenarioSpec& spec, const std::strin
   // byte-identical (counter-based trials), so first-wins is exact.
   std::vector<std::map<std::uint64_t, ScenarioResult>> extras(cells.size());
 
-  std::error_code ec;
-  if (fs::exists(ckpt_path(dir), ec)) {
-    const Checkpoint ckpt = parse_checkpoint(read_text_file(ckpt_path(dir)));
+  if (const Checkpoint* snapshot = files.checkpoint(ckpt_path(dir))) {
+    const Checkpoint& ckpt = *snapshot;
     if (ckpt.fingerprint != spec_fp) {
       throw std::runtime_error("elastic: " + ckpt_path(dir) +
                                " belongs to a different spec (fingerprint mismatch)");
@@ -151,6 +194,7 @@ ElasticProgress load_elastic_progress(const ScenarioSpec& spec, const std::strin
   // Every worker's log, in sorted filename order (determinism of the scan;
   // the records themselves are order-independent thanks to dedup-by-block).
   std::vector<std::string> log_paths;
+  std::error_code ec;
   if (fs::exists(dir + "/logs", ec)) {
     for (const auto& entry : fs::directory_iterator(dir + "/logs")) {
       if (entry.path().extension() == ".blk") log_paths.push_back(entry.path().string());
@@ -158,7 +202,7 @@ ElasticProgress load_elastic_progress(const ScenarioSpec& spec, const std::strin
   }
   std::sort(log_paths.begin(), log_paths.end());
   for (const std::string& path : log_paths) {
-    for (BlockRecord& rec : BlockLog::read(path, spec_fp)) {
+    for (const BlockRecord& rec : files.log(path, spec_fp)) {
       if (rec.cell >= cells.size()) {
         throw std::runtime_error("elastic: " + path + " records a cell outside the grid");
       }
@@ -170,7 +214,7 @@ ElasticProgress load_elastic_progress(const ScenarioSpec& spec, const std::strin
         throw std::runtime_error("elastic: " + path + " records a malformed block partial");
       }
       if (rec.block < progress.cells[rec.cell].prefix_blocks) continue;  // compacted already
-      extras[rec.cell].emplace(rec.block, std::move(rec.partial));       // first copy wins
+      extras[rec.cell].emplace(rec.block, rec.partial);                  // first copy wins
     }
   }
 
@@ -192,13 +236,14 @@ ElasticProgress load_elastic_progress(const ScenarioSpec& spec, const std::strin
 bool compact_elastic_dir(const ScenarioSpec& spec, const std::string& dir,
                          const std::string& worker_id, BlockLog* own_log,
                          std::uint64_t lease_ttl_seconds, bool fsync,
-                         const CellRunners& runners, ElasticProgress* folded) {
+                         const CellRunners& runners, ElasticProgress* folded,
+                         ProgressCache* cache) {
   Lease lock = Lease::try_acquire(compact_lease_path(dir), worker_id, lease_ttl_seconds);
   if (!lock.held()) return false;  // someone else is compacting; theirs covers our records
 
   const std::vector<ScenarioCase> cells = expand_grid(spec);
   const std::uint64_t total_blocks = num_trial_blocks(spec.trials);
-  ElasticProgress progress = load_elastic_progress(spec, dir);
+  ElasticProgress progress = load_elastic_progress(spec, dir, cache);
 
   Checkpoint ckpt;  // the fingerprint is derived by the serializer
   for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -269,9 +314,13 @@ ElasticResult run_elastic_worker(const ScenarioSpec& spec, const ElasticOptions&
 
   ensure_elastic_dir(spec, options.dir);
   BlockLog log(own_log_path(options.dir, worker_id), spec_fp, options.fsync);
+  // Every progress read below goes through one cache, so a sweep re-parses
+  // only the files that changed since the last one.
+  ProgressCache files;
   // A restarted worker's own log may hold a dead predecessor's blocks; fold
   // them (and anyone else's) forward before claiming anything.
-  compact_elastic_dir(spec, options.dir, worker_id, &log, ttl, options.fsync);
+  compact_elastic_dir(spec, options.dir, worker_id, &log, ttl, options.fsync, {}, nullptr,
+                      &files);
 
   std::vector<std::size_t> order;
   for (const std::size_t idx : cost_order(spec, cells)) {
@@ -291,7 +340,7 @@ ElasticResult run_elastic_worker(const ScenarioSpec& spec, const ElasticOptions&
       if (cell->runner != nullptr) runners.emplace(idx, cell->runner.get());
     }
     if (!compact_elastic_dir(spec, options.dir, worker_id, &log, ttl, options.fsync, runners,
-                             folded)) {
+                             folded, &files)) {
       return false;
     }
     finished.clear();
@@ -312,10 +361,9 @@ ElasticResult run_elastic_worker(const ScenarioSpec& spec, const ElasticOptions&
     if (aborted) return;
     ElasticProgress progress;
     if (finished.empty() || !compact(&progress)) {
-      progress = load_elastic_progress(spec, options.dir);
+      progress = load_elastic_progress(spec, options.dir, &files);
     }
     std::vector<std::size_t> fresh;
-    bool any_reclaimed = false;
     std::uint64_t expected = 0;
     for (const std::size_t idx : order) {
       if (expected >= threads) break;
@@ -324,7 +372,6 @@ ElasticResult run_elastic_worker(const ScenarioSpec& spec, const ElasticOptions&
       Lease lease =
           Lease::try_acquire(cell_lease_path(options.dir, idx), worker_id, ttl, &reclaimed);
       if (reclaimed) ++res.leases_reclaimed;
-      any_reclaimed = any_reclaimed || reclaimed;
       if (!lease.held()) continue;
       claimed[idx] = 1;
       ++res.cells_leased;
@@ -335,11 +382,11 @@ ElasticResult run_elastic_worker(const ScenarioSpec& spec, const ElasticOptions&
       fresh.push_back(idx);
     }
     if (fresh.empty()) return;
-    // A reclaimed cell's dead holder may have made more blocks durable than
-    // the first read saw: re-read now that the cells are ours. (A holder that
-    // released a cell between the read and the claim may leave a block or
-    // two to be run twice; the copies are identical and dedupe.)
-    if (any_reclaimed) progress = load_elastic_progress(spec, options.dir);
+    // Re-read now that the cells are ours: a holder may have appended more
+    // blocks — or finished and released the cell — after the first read, and
+    // a reclaimed cell's dead holder may have made more blocks durable than
+    // that read saw. The cache makes this cost only the changed files.
+    progress = load_elastic_progress(spec, options.dir, &files);
     for (const std::size_t idx : fresh) {
       HeldCell& cell = *held.at(idx);
       const std::vector<std::uint64_t> missing =
@@ -427,7 +474,7 @@ ElasticResult run_elastic_worker(const ScenarioSpec& spec, const ElasticOptions&
         const std::lock_guard<std::mutex> lock(mu);
         held.clear();  // only cells whose lease was lost are left
       }
-      if (all_durable(load_elastic_progress(spec, options.dir))) break;
+      if (all_durable(load_elastic_progress(spec, options.dir, &files))) break;
       // Every incomplete cell is leased by a live worker: poll until they
       // finish (or die and their leases age out).
       std::this_thread::sleep_for(

@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -106,10 +107,45 @@ struct ElasticProgress {
   std::uint64_t durable_blocks = 0;  ///< distinct durable blocks, all cells
 };
 
+/// Parses of an elastic directory's compacted.ckpt and worker logs, kept
+/// between load_elastic_progress calls so that a worker's sweeps re-parse
+/// only the files that changed. A file is re-parsed when its stamp — device,
+/// inode, size and modification time, taken before the read — differs from
+/// the cached parse's. Logs only grow by appends, and every rewrite (a
+/// compaction, a log's truncate_all) renames a new inode into place, so an
+/// equal stamp means equal bytes; taking the stamp first means a write racing
+/// the read can only make the next stamp differ, never hide a change. One
+/// cache per worker; not thread-safe.
+class ProgressCache {
+ public:
+  /// The parsed checkpoint at `path`, or nullptr when there is none.
+  const Checkpoint* checkpoint(const std::string& path);
+  /// The records of the block log at `path` (BlockLog::read).
+  const std::vector<BlockRecord>& log(const std::string& path, std::uint64_t fingerprint);
+  /// Files parsed so far (cache misses).
+  std::uint64_t parses() const { return parses_; }
+
+ private:
+  struct Stamp {
+    std::uint64_t dev = 0;
+    std::uint64_t ino = 0;
+    std::uint64_t size = 0;
+    std::int64_t mtime_ns = 0;
+    bool operator==(const Stamp&) const = default;
+  };
+  static std::optional<Stamp> stamp_of(const std::string& path);
+
+  std::optional<Stamp> ckpt_stamp_;
+  std::optional<Checkpoint> ckpt_;
+  std::map<std::string, std::pair<Stamp, std::vector<BlockRecord>>> logs_;
+  std::uint64_t parses_ = 0;
+};
+
 /// Loads and validates the directory's durable progress. Tolerates torn log
 /// tails (live appends elsewhere); throws on structural corruption or a
-/// fingerprint mismatch.
-ElasticProgress load_elastic_progress(const ScenarioSpec& spec, const std::string& dir);
+/// fingerprint mismatch. With a `cache`, unchanged files are not re-parsed.
+ElasticProgress load_elastic_progress(const ScenarioSpec& spec, const std::string& dir,
+                                      ProgressCache* cache = nullptr);
 
 /// Runners already built for some cells, by grid index.
 using CellRunners = std::map<std::size_t, const CellRunner*>;
@@ -120,12 +156,13 @@ using CellRunners = std::map<std::size_t, const CellRunner*>;
 /// workers' logs are never truncated — they compact their own. Serialized by
 /// leases/compact.lease; returns false (doing nothing) when another worker
 /// holds it. `own_log` may be null (merge-time compaction). When `folded` is
-/// given it receives the progress the new snapshot holds.
+/// given it receives the progress the new snapshot holds. `cache` is handed
+/// to load_elastic_progress.
 bool compact_elastic_dir(const ScenarioSpec& spec, const std::string& dir,
                          const std::string& worker_id, BlockLog* own_log,
                          std::uint64_t lease_ttl_seconds, bool fsync,
                          const CellRunners& runners = {},
-                         ElasticProgress* folded = nullptr);
+                         ElasticProgress* folded = nullptr, ProgressCache* cache = nullptr);
 
 /// Joins the elastic campaign at `options.dir` and works until every cell of
 /// `options.cells` is durable (when nothing is claimable and someone else

@@ -178,15 +178,20 @@ struct ScenarioContext {
   std::uint64_t seed = 0;
   MetricSet metrics;
 
-  // collective metric: the full-N schedule, its identity rank map, the
+  // The healthy machine (point-to-point families, whenever a post-fault
+  // metric is on). Every trial whose reconfigured machine presents the target
+  // runs as this machine (sim::runs_as_target), so each block builds one
+  // simulator over it (BlockScratch::healthy_sim) for those trials' traffic
+  // and stretch and for pricing the failed trials' collective baselines.
+  std::optional<sim::Machine> healthy_machine;
+
+  // collective metric: the full-N schedule, its identity rank map, and the
   // healthy machine's run of it (the baseline every trial is compared
   // against, and the result of every trial whose machine presents the
-  // target), and the healthy machine itself (reused per failed trial to price
-  // the survivors' own baseline) — point-to-point families only.
+  // target) — point-to-point families only.
   std::optional<sim::Schedule> schedule;
   std::vector<NodeId> identity_ranks;
   sim::ScheduleRunResult healthy_run;
-  std::optional<sim::Machine> healthy_machine;
 
   // bus-fault models: the cell draws bus faults that must be resolved onto
   // the realized graph (bus-family cells) before the survival check.
@@ -237,7 +242,12 @@ ScenarioContext build_context(const ScenarioSpec& spec, const ScenarioCase& cell
   ctx.bus_model = cell.fault_model.kind == FaultModelKind::BusIid ||
                   cell.fault_model.kind == FaultModelKind::BusClustered;
   ctx.target_diameter = diameter(ctx.target);
-  if (spec.metrics.collective && cell.topology.family != TopologyFamily::Bus) {
+  const bool point_to_point = cell.topology.family != TopologyFamily::Bus;
+  if (point_to_point && (spec.metrics.diameter || spec.metrics.stretch ||
+                         spec.metrics.collective || spec.metrics.traffic)) {
+    ctx.healthy_machine.emplace(sim::Machine::direct(ctx.target));
+  }
+  if (spec.metrics.collective && point_to_point) {
     // Compile the schedule once per cell and price the healthy machine — the
     // denominator of every trial's slowdown, and the whole result of every
     // trial whose reconfigured machine presents the target.
@@ -246,11 +256,10 @@ ScenarioContext build_context(const ScenarioSpec& spec, const ScenarioCase& cell
         static_cast<std::uint32_t>(ctx.target.num_nodes()));
     ctx.identity_ranks.resize(ctx.target.num_nodes());
     for (NodeId v = 0; v < ctx.target.num_nodes(); ++v) ctx.identity_ranks[v] = v;
-    ctx.healthy_machine.emplace(sim::Machine::direct(ctx.target));
     ctx.healthy_run = sim::execute_schedule(*ctx.healthy_machine, ctx.target, *ctx.schedule,
                                             ctx.identity_ranks);
   }
-  if (spec.metrics.traffic && cell.topology.family != TopologyFamily::Bus) {
+  if (spec.metrics.traffic && point_to_point) {
     ctx.traffic = true;
     const TrafficSpec& ts = spec.metrics.traffic_spec;
     std::uint64_t horizon = 0;
@@ -284,7 +293,27 @@ struct BlockScratch {
   std::vector<std::uint64_t> coll_trials;     // collective runs by fault count
   std::vector<std::uint64_t> coll_unreachable;
   std::vector<double> coll_slowdown_sum;
+  // Built by the first trial that needs them, never in build_context, so a
+  // cell's setup cost does not grow: the simulator over the healthy machine,
+  // and the survivors' collective schedules keyed by rank count.
+  std::optional<sim::PacketSimulator> healthy_sim;
+  std::map<std::uint32_t, sim::Schedule> survivor_schedules;
 };
+
+sim::PacketSimulator& healthy_simulator(const ScenarioContext& ctx, BlockScratch& scratch) {
+  if (!scratch.healthy_sim) scratch.healthy_sim.emplace(*ctx.healthy_machine, ctx.target);
+  return *scratch.healthy_sim;
+}
+
+const sim::Schedule& survivor_schedule(const ScenarioContext& ctx, BlockScratch& scratch,
+                                       std::uint32_t ranks) {
+  auto it = scratch.survivor_schedules.find(ranks);
+  if (it == scratch.survivor_schedules.end()) {
+    it = scratch.survivor_schedules.emplace(ranks, sim::build_schedule(ctx.schedule->kind, ranks))
+             .first;
+  }
+  return it->second;
+}
 
 /// Runs one trial and folds it straight into `acc`.
 void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResult& acc,
@@ -333,8 +362,9 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
       ctx.metrics.stretch && success &&
       (ctx.cell.topology.family == TopologyFamily::DeBruijn || se_family);
   const bool want_collective = ctx.schedule.has_value();
+  const bool post_fault = ctx.metrics.diameter || want_stretch || want_collective || ctx.traffic;
   std::optional<sim::Machine> reconfigured;
-  if (success && ((ctx.metrics.diameter) || want_stretch || want_collective || ctx.traffic)) {
+  if (success && post_fault) {
     // One reconfigured machine serves all post-fault metrics (Machine copies
     // the fabric CSR, so building it repeatedly per trial would multiply the
     // cost of the hot loop).
@@ -343,9 +373,15 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
   }
   // Measure (not assume) the paper's claim that the reconfigured machine
   // presents the intact target: checked edge for edge, once per trial, and
-  // shared by the diameter and collective metrics.
-  const bool presents = success && (ctx.metrics.diameter || want_collective) &&
-                        reconfigured->presents(ctx.target);
+  // shared by every post-fault metric. A machine that presents the target
+  // runs as the healthy machine (sim::runs_as_target: the engine sees the
+  // live logical graph, the router built from it and node liveness, and all
+  // three equal the healthy machine's), so the diameter is the target's, the
+  // collective is the cell's healthy run, and the traffic and the stretch
+  // audit's logical distances come from the block's healthy simulator.
+  const bool presents = success && post_fault && reconfigured->presents(ctx.target);
+  const bool as_healthy = presents && ctx.healthy_machine &&
+                          sim::runs_as_target(*reconfigured, presents, ctx.target);
   if (success && (ctx.metrics.diameter || want_stretch)) {
     const sim::Machine& machine = *reconfigured;
     if (ctx.metrics.diameter) {
@@ -356,12 +392,19 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
       if (d != kUnreachable) acc.reconfigured_diameter.add(static_cast<double>(d));
     }
     if (want_stretch) {
+      // The audit's numerator is the machine's logical router; a machine
+      // that runs as the healthy one routes as the target does, so the
+      // block's healthy router stands in for a rebuilt one. The denominator
+      // (the trial's own physical survivor graph) is computed either way.
+      const sim::Router* healthy_router =
+          as_healthy ? &healthy_simulator(ctx, scratch).router() : nullptr;
       if (ctx.metrics.stretch_sample_pairs == 0) {
         acc.route_stretch.add(
-            se_family
-                ? sim::max_route_stretch_se(machine, ctx.cell.topology.digits)
-                : sim::max_route_stretch(machine, ctx.cell.topology.base,
-                                         ctx.cell.topology.digits));
+            healthy_router != nullptr
+                ? sim::max_route_stretch_with_router(machine, *healthy_router)
+            : se_family ? sim::max_route_stretch_se(machine, ctx.cell.topology.digits)
+                        : sim::max_route_stretch(machine, ctx.cell.topology.base,
+                                                 ctx.cell.topology.digits));
       } else {
         // Counter-based pair sample: drawn from the trial's own RNG stream
         // (after the fault draw), so the report stays byte-identical across
@@ -376,7 +419,9 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
           if (s != d) pairs.emplace_back(s, d);
         }
         acc.route_stretch.add(
-            se_family
+            healthy_router != nullptr
+                ? sim::max_route_stretch_with_router(machine, *healthy_router, &pairs)
+            : se_family
                 ? sim::max_route_stretch_se_sampled(machine, ctx.cell.topology.digits, pairs)
                 : sim::max_route_stretch_sampled(machine, ctx.cell.topology.base,
                                                  ctx.cell.topology.digits, pairs));
@@ -427,12 +472,11 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
         }
         const sim::Machine degraded = sim::Machine::direct_with_faults(
             ctx.target, FaultSet(ctx.target.num_nodes(), std::move(hit)));
-        const sim::Schedule sched = sim::build_schedule(
-            ctx.schedule->kind, static_cast<std::uint32_t>(survivors.size()));
+        const sim::Schedule& sched =
+            survivor_schedule(ctx, scratch, static_cast<std::uint32_t>(survivors.size()));
         run = sim::execute_schedule(degraded, ctx.target, sched, survivors);
         baseline_cycles =
-            sim::execute_schedule(*ctx.healthy_machine, ctx.target, sched, survivors)
-                .total_cycles;
+            sim::execute_schedule(healthy_simulator(ctx, scratch), sched, survivors).total_cycles;
         ran = true;
       }
       // else: every target node dead — counted unreachable below.
@@ -484,7 +528,11 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
       packets = sim::uniform_traffic(n_nodes, ctx.traffic_packets, 0, traffic_seed);
     }
     std::optional<sim::SimStats> stats;
-    if (success) {
+    if (as_healthy) {
+      // Exact for the same reason as the collective reuse above: the engine
+      // would see the healthy machine's live graph, router and liveness.
+      stats = healthy_simulator(ctx, scratch).run(packets, ctx.traffic_max_cycles);
+    } else if (success) {
       stats = sim::run_packets(*reconfigured, ctx.target, packets,
                                {.max_cycles = ctx.traffic_max_cycles, .router = {}});
     } else {

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -69,6 +68,18 @@ struct EngineOptions {
 /// run() calls. This is what collective-schedule execution leans on — a
 /// log-round schedule steps the same machine many times, and rebuilding the
 /// router per round would dominate the measurement.
+///
+/// The kernel works in proportion to the packets it moves, not to the size of
+/// the machine. Directed links are numbered per node in sorted-neighbor order,
+/// and each link's far endpoint is stored once at construction. Every queued
+/// packet sits in one shared slot pool, and each link's FIFO is a chain
+/// through it, so memory follows the packets in flight rather than the
+/// deepest each link ever got. A bitmap marks the non-empty links; each cycle
+/// forwards from the set bits in ascending link order, which is the order a
+/// scan of every link would visit them, so arrival order and every statistic
+/// match that scan exactly. The peak queue depth is read only from links
+/// pushed in the cycle: a link that was not pushed only shrank, so it cannot
+/// raise the running maximum.
 class PacketSimulator {
  public:
   PacketSimulator(const Machine& machine, const Graph& target,
@@ -84,11 +95,26 @@ class PacketSimulator {
   std::size_t num_logical() const { return machine_->num_logical(); }
 
  private:
-  struct InFlight {
+  struct InFlight {  // 24 bytes, so a pool Slot is 32
     std::uint64_t id = 0;
-    NodeId dst = 0;
     std::uint64_t inject_cycle = 0;
+    NodeId dst = 0;
     std::uint32_t hops = 0;
+  };
+
+  static constexpr std::uint32_t kNil = 0xffffffffu;
+
+  /// A queued packet in the shared pool, chained to the next one of its link.
+  struct Slot {
+    InFlight pkt;
+    std::uint32_t next = kNil;
+  };
+
+  /// One directed link's FIFO: a chain of pool slots, oldest first.
+  struct LinkQueue {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+    std::uint32_t size = 0;
   };
 
   /// Directed link id of the (from -> to) live edge. Fails loudly (assert in
@@ -97,12 +123,22 @@ class PacketSimulator {
   std::size_t link_id(NodeId from, NodeId to) const;
 
   bool node_live(NodeId logical) const;
+  void push(std::size_t link, const InFlight& pkt);
+  /// Empties every queue (a truncated run leaves packets behind) and the pool.
+  void clear_queues();
 
   const Machine* machine_ = nullptr;
   Graph live_;
   std::unique_ptr<Router> router_;
   std::vector<std::size_t> link_base_;
-  std::vector<std::deque<InFlight>> queues_;
+  std::vector<NodeId> link_to_;              // far endpoint of each link
+  std::vector<LinkQueue> queues_;
+  std::vector<Slot> slots_;                  // every queued packet, all links
+  std::uint32_t free_slot_ = kNil;           // chain of reusable slots
+  std::vector<std::uint64_t> active_;        // bit l set iff queues_[l] is non-empty
+  std::vector<std::size_t> pushed_;          // links pushed this cycle (may repeat)
+  std::vector<Packet> sorted_;
+  std::vector<std::pair<NodeId, InFlight>> arrivals_;
   // Per-cycle batched-routing scratch: the injection wave and the phase-2
   // arrival wave each gather their (dst, at) queries and resolve them with
   // one route_many call, preserving enqueue order exactly — hop-for-hop the
@@ -124,5 +160,17 @@ class PacketSimulator {
 /// holds on every return path, including max_cycles truncation.
 SimStats run_packets(const Machine& machine, const Graph& target,
                      const std::vector<Packet>& packets, const EngineOptions& options = {});
+
+/// True when the engine runs `machine` exactly as it runs the healthy
+/// Machine::direct(target), so a PacketSimulator over the healthy machine can
+/// stand in for one over `machine`. The engine depends on a machine through
+/// three inputs only: the live logical graph, the router built from it, and
+/// node liveness. A machine that presents the target edge for edge has the
+/// target itself as its live graph (live_logical_graph keeps exactly the
+/// target edges that are up), hence the same router; when every target node
+/// is also alive, all three inputs equal the healthy machine's.
+/// `presents_target` must equal machine.presents(target) — passed in so a
+/// caller that already made the O(E) edge check does not repeat it.
+bool runs_as_target(const Machine& machine, bool presents_target, const Graph& target);
 
 }  // namespace ftdb::sim

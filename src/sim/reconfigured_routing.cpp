@@ -76,13 +76,8 @@ SurvivorView make_survivor_view(const Machine& machine) {
   return view;
 }
 
-/// The family-agnostic core of the full audit: the target graph is already
-/// built, everything else (the survivor BFS sweeps, the ratio) is shared
-/// between the de Bruijn and shuffle-exchange entry points.
-double max_route_stretch_on_target(const Machine& machine, const Graph& target) {
-  const std::unique_ptr<Router> router = machine_logical_router(machine, target);
-  const SurvivorView view = make_survivor_view(machine);
-
+/// Every ordered pair's ratio, 64 logical sources per survivor-CSR sweep.
+double stretch_all_pairs(const Machine& machine, const Router& router, const SurvivorView& view) {
   double worst = 1.0;
   const std::size_t n = machine.num_logical();
   const std::size_t sn = view.survivors.graph.num_nodes();
@@ -108,7 +103,7 @@ double max_route_stretch_on_target(const Machine& machine, const Graph& target) 
     for (NodeId src = base; src < end; ++src) {
       const std::uint32_t* row = dist.data() + static_cast<std::size_t>(src - base) * sn;
       std::fill(src_rep.begin(), src_rep.end(), src);
-      router->distance_many(all_dsts, src_rep, logical_row);
+      router.distance_many(all_dsts, src_rep, logical_row);
       for (NodeId dst = 0; dst < n; ++dst) {
         if (src == dst) continue;
         const std::uint32_t logical = logical_row[dst];
@@ -124,14 +119,11 @@ double max_route_stretch_on_target(const Machine& machine, const Graph& target) 
   return worst;
 }
 
-/// Sampled core over a prebuilt target, shared by both topology families.
-double max_route_stretch_sampled_on_target(const Machine& machine, const Graph& target,
-                                           const std::vector<std::pair<NodeId, NodeId>>& pairs) {
-  const std::unique_ptr<Router> router = machine_logical_router(machine, target);
-  const SurvivorView view = make_survivor_view(machine);
-
-  // Group the sample by source so that up to 64 distinct sources share one
-  // survivor-CSR sweep, exactly like the full audit.
+/// The ratio over a sample of pairs, grouped by source so that up to 64
+/// distinct sources share one survivor-CSR sweep, like the full audit.
+double stretch_sampled_pairs(const Machine& machine, const Router& router,
+                             const SurvivorView& view,
+                             const std::vector<std::pair<NodeId, NodeId>>& pairs) {
   std::vector<std::pair<NodeId, NodeId>> sorted = pairs;
   std::sort(sorted.begin(), sorted.end());
 
@@ -177,7 +169,7 @@ double max_route_stretch_sampled_on_target(const Machine& machine, const Graph& 
       ld_srcs.push_back(sorted[p].first);
     }
     logical_row.resize(ld_dsts.size());
-    router->distance_many(ld_dsts, ld_srcs, logical_row);
+    router.distance_many(ld_dsts, ld_srcs, logical_row);
     for (std::size_t gi = 0; gi < groups.size(); ++gi) {
       const std::uint32_t* row = dist.data() + gi * sn;
       for (std::size_t p = groups[gi].begin; p < groups[gi].end; ++p) {
@@ -197,23 +189,33 @@ double max_route_stretch_sampled_on_target(const Machine& machine, const Graph& 
 
 }  // namespace
 
+double max_route_stretch_with_router(const Machine& machine, const Router& router,
+                                     const std::vector<std::pair<NodeId, NodeId>>* pairs) {
+  const SurvivorView view = make_survivor_view(machine);
+  return pairs == nullptr ? stretch_all_pairs(machine, router, view)
+                          : stretch_sampled_pairs(machine, router, view, *pairs);
+}
+
 double max_route_stretch(const Machine& machine, std::uint64_t m, unsigned h) {
-  return max_route_stretch_on_target(machine, debruijn_graph({.base = m, .digits = h}));
+  const Graph target = debruijn_graph({.base = m, .digits = h});
+  return max_route_stretch_with_router(machine, *machine_logical_router(machine, target));
 }
 
 double max_route_stretch_sampled(const Machine& machine, std::uint64_t m, unsigned h,
                                  const std::vector<std::pair<NodeId, NodeId>>& pairs) {
-  return max_route_stretch_sampled_on_target(machine, debruijn_graph({.base = m, .digits = h}),
-                                             pairs);
+  const Graph target = debruijn_graph({.base = m, .digits = h});
+  return max_route_stretch_with_router(machine, *machine_logical_router(machine, target), &pairs);
 }
 
 double max_route_stretch_se(const Machine& machine, unsigned h) {
-  return max_route_stretch_on_target(machine, shuffle_exchange_graph(h));
+  const Graph target = shuffle_exchange_graph(h);
+  return max_route_stretch_with_router(machine, *machine_logical_router(machine, target));
 }
 
 double max_route_stretch_se_sampled(const Machine& machine, unsigned h,
                                     const std::vector<std::pair<NodeId, NodeId>>& pairs) {
-  return max_route_stretch_sampled_on_target(machine, shuffle_exchange_graph(h), pairs);
+  const Graph target = shuffle_exchange_graph(h);
+  return max_route_stretch_with_router(machine, *machine_logical_router(machine, target), &pairs);
 }
 
 }  // namespace ftdb::sim

@@ -74,4 +74,13 @@ double max_route_stretch_se(const Machine& machine, unsigned h);
 double max_route_stretch_se_sampled(const Machine& machine, unsigned h,
                                     const std::vector<std::pair<NodeId, NodeId>>& pairs);
 
+/// The one core of every stretch audit above: `router` supplies the logical
+/// route lengths and the machine the physical survivor graph. It must route
+/// the machine's live logical graph — machine_logical_router(machine,
+/// target), or any router built over an equal graph, such as the healthy
+/// target's router when machine.presents(target). `pairs` == nullptr audits
+/// every ordered pair; otherwise only the listed ones (the sampled variant).
+double max_route_stretch_with_router(const Machine& machine, const Router& router,
+                                     const std::vector<std::pair<NodeId, NodeId>>* pairs = nullptr);
+
 }  // namespace ftdb::sim

@@ -1,7 +1,6 @@
 #include "sim/schedule.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -455,14 +454,12 @@ void verify_schedule_functional(const Schedule& schedule) {
 
 // ---- operational execution --------------------------------------------------
 
-ScheduleRunResult execute_schedule(const Machine& machine, const Graph& target,
-                                   const Schedule& schedule,
+ScheduleRunResult execute_schedule(PacketSimulator& sim, const Schedule& schedule,
                                    const std::vector<NodeId>& rank_to_logical,
-                                   const ScheduleRunOptions& options) {
+                                   std::uint64_t max_cycles_per_step) {
   if (rank_to_logical.size() != schedule.num_ranks) {
     throw std::invalid_argument("execute_schedule: rank map size != num_ranks");
   }
-  PacketSimulator sim(machine, target, options.router);
   ScheduleRunResult result;
   result.rounds = schedule.rounds();
   std::vector<Packet> packets;
@@ -477,7 +474,7 @@ ScheduleRunResult execute_schedule(const Machine& machine, const Graph& target,
       }
     }
     if (packets.empty()) continue;
-    const SimStats stats = sim.run(packets, options.max_cycles_per_step);
+    const SimStats stats = sim.run(packets, max_cycles_per_step);
     result.total_cycles += stats.cycles;
     result.total_hop_cycles += stats.total_hops;
     result.max_link_congestion = std::max(result.max_link_congestion, stats.max_queue_depth);
@@ -489,17 +486,20 @@ ScheduleRunResult execute_schedule(const Machine& machine, const Graph& target,
   return result;
 }
 
+ScheduleRunResult execute_schedule(const Machine& machine, const Graph& target,
+                                   const Schedule& schedule,
+                                   const std::vector<NodeId>& rank_to_logical,
+                                   const ScheduleRunOptions& options) {
+  PacketSimulator sim(machine, target, options.router);
+  return execute_schedule(sim, schedule, rank_to_logical, options.max_cycles_per_step);
+}
+
 ScheduleRunResult execute_schedule_or_reuse(const Machine& machine, bool presents_target,
                                             const ScheduleRunResult& healthy,
                                             const Graph& target, const Schedule& schedule,
                                             const std::vector<NodeId>& rank_to_logical,
                                             const ScheduleRunOptions& options) {
-  assert(presents_target == machine.presents(target));
-  bool reuse = presents_target && machine.num_logical() >= target.num_nodes();
-  for (NodeId x = 0; reuse && x < target.num_nodes(); ++x) {
-    reuse = !machine.dead[machine.to_physical[x]];
-  }
-  if (reuse) return healthy;
+  if (runs_as_target(machine, presents_target, target)) return healthy;
   return execute_schedule(machine, target, schedule, rank_to_logical, options);
 }
 

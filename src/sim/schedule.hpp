@@ -147,17 +147,20 @@ ScheduleRunResult execute_schedule(const Machine& machine, const Graph& target,
                                    const std::vector<NodeId>& rank_to_logical,
                                    const ScheduleRunOptions& options = {});
 
+/// execute_schedule on a caller's simulator, so one simulator can price many
+/// schedules on the same machine; the Machine overload above builds one and
+/// calls this. Each step runs with `max_cycles_per_step` as its cycle budget.
+ScheduleRunResult execute_schedule(PacketSimulator& sim, const Schedule& schedule,
+                                   const std::vector<NodeId>& rank_to_logical,
+                                   std::uint64_t max_cycles_per_step = 0);
+
 /// execute_schedule with the dilation-1 shortcut. `healthy` must be the run
 /// of the same schedule, ranks and options on Machine::direct(target), and
 /// `presents_target` must equal machine.presents(target) — passed in so a
-/// caller that already made the O(E) edge check does not repeat it. The
-/// packet engine depends on the machine through three inputs only: the live
-/// logical graph, the router built from it, and node liveness. A machine that
-/// presents the target edge for edge has the target itself as its live graph
-/// (live_logical_graph keeps exactly the target edges that are up), hence the
-/// same router; when every target node is also alive, all three inputs equal
-/// the healthy machine's and the result is `healthy` without running. Any
-/// other machine runs the engine.
+/// caller that already made the O(E) edge check does not repeat it. When
+/// runs_as_target (sim/engine.hpp) holds, the engine would see exactly the
+/// healthy machine, so the result is `healthy` without running. Any other
+/// machine runs the engine.
 ScheduleRunResult execute_schedule_or_reuse(const Machine& machine, bool presents_target,
                                             const ScheduleRunResult& healthy,
                                             const Graph& target, const Schedule& schedule,

@@ -30,8 +30,11 @@
 #include "ft/tolerance.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/subgraph.hpp"
+#include "sim/engine.hpp"
 #include "sim/network.hpp"
+#include "sim/reconfigured_routing.hpp"
 #include "sim/schedule.hpp"
+#include "sim/traffic.hpp"
 #include "topology/debruijn.hpp"
 #include "topology/shuffle_exchange.hpp"
 
@@ -1518,6 +1521,148 @@ TEST(ScenarioSpec, FullExampleCoversEveryFamilyModelAndMetric) {
   const std::string canon = scenario_spec_to_json(spec);
   EXPECT_EQ(canon, scenario_spec_to_json(parse_scenario_spec(canon)));
   EXPECT_EQ(spec_fingerprint(spec), spec_fingerprint(parse_scenario_spec(canon)));
+}
+
+// --- presented-trial reuse ---------------------------------------------------
+
+bool same_stats(const StreamingStats& a, const StreamingStats& b) {
+  return a.count == b.count && a.mean == b.mean && a.m2 == b.m2 &&
+         (a.count == 0 || (a.min == b.min && a.max == b.max));
+}
+
+/// Replays every trial of a one-cell, one-block campaign with traffic and
+/// stretch on. For each trial whose reconfigured machine runs as the healthy
+/// one, the healthy simulator's traffic stats and the stretch audit over its
+/// router must equal run_packets and max_route_stretch* on the trial's own
+/// machine. The cell's traffic and stretch columns, folded here from the
+/// own-machine values, must equal what run_campaign reports.
+void replay_presented_trials(TopologyFamily family, std::uint64_t stretch_pairs) {
+  ScenarioSpec spec;
+  spec.name = "reuse-replay";
+  spec.seed = 17;
+  spec.trials = kTrialBlock;
+  spec.topologies = {{family, 2, 5}};
+  spec.spares = {2};
+  spec.fault_models = {{FaultModelKind::IidBernoulli, 0.03, 1.0, 100.0, 1.0}};
+  spec.metrics.diameter = true;
+  spec.metrics.stretch = true;
+  spec.metrics.stretch_sample_pairs = stretch_pairs;
+  spec.metrics.traffic = true;
+  spec.metrics.traffic_spec.pattern = "zipf";
+  spec.metrics.traffic_spec.theta = 1.0;
+  spec.metrics.traffic_spec.packets_per_node = 4;
+  const ScenarioCase cell = expand_grid(spec).at(0);
+
+  const bool se = family == TopologyFamily::ShuffleExchange;
+  const unsigned h = 5;
+  const Graph target = se ? shuffle_exchange_graph(h) : debruijn_graph({.base = 2, .digits = h});
+  const Graph fabric = se ? ft_shuffle_exchange_natural(h, 2).ft_graph
+                          : ft_debruijn_graph({.base = 2, .digits = h, .spares = 2});
+  const std::unique_ptr<FaultModel> model = make_fault_model(cell.fault_model);
+  model->prepare(fabric, 2);
+  const sim::Machine healthy = sim::Machine::direct(target);
+  sim::PacketSimulator healthy_sim(healthy, target);
+  const std::uint64_t n = target.num_nodes();
+  const std::uint64_t packets = 4 * n;
+  const std::uint64_t max_cycles = 4 * packets + 1024;
+
+  ScenarioResult want;
+  std::uint64_t presented = 0;
+  std::uint64_t failed = 0;
+  for (std::uint64_t t = 0; t < spec.trials; ++t) {
+    TrialRng rng = TrialRng::for_trial(spec.seed, cell.index, t);
+    const FaultDraw draw = model->draw(fabric, 2, rng);
+    const bool success =
+        draw.faults.count() <= 2 && monotone_embedding_survives(target, fabric, draw.faults);
+    std::optional<sim::Machine> machine;
+    std::vector<std::pair<NodeId, NodeId>> pairs;
+    if (success) {
+      machine.emplace(sim::Machine::reconfigured(fabric, draw.faults, n));
+      // The runner's stream order: the stretch sample, then the traffic seed.
+      for (std::uint64_t i = 0; i < stretch_pairs; ++i) {
+        const NodeId s = static_cast<NodeId>(rng.next_u64() % n);
+        const NodeId d = static_cast<NodeId>(rng.next_u64() % n);
+        if (s != d) pairs.emplace_back(s, d);
+      }
+      const double own =
+          stretch_pairs == 0
+              ? (se ? sim::max_route_stretch_se(*machine, h) : sim::max_route_stretch(*machine, 2, h))
+              : (se ? sim::max_route_stretch_se_sampled(*machine, h, pairs)
+                    : sim::max_route_stretch_sampled(*machine, 2, h, pairs));
+      want.route_stretch.add(own);
+      if (sim::runs_as_target(*machine, machine->presents(target), target)) {
+        ++presented;
+        EXPECT_EQ(sim::max_route_stretch_with_router(*machine, healthy_sim.router(),
+                                                     stretch_pairs == 0 ? nullptr : &pairs),
+                  own)
+            << "trial " << t;
+      }
+    } else {
+      ++failed;
+    }
+    const std::vector<sim::Packet> traffic = sim::zipf_traffic(n, packets, 1.0, rng.next_u64());
+    std::optional<sim::SimStats> stats;
+    if (success) {
+      stats = sim::run_packets(*machine, target, traffic, {.max_cycles = max_cycles, .router = {}});
+      if (sim::runs_as_target(*machine, machine->presents(target), target)) {
+        const sim::SimStats reused = healthy_sim.run(traffic, max_cycles);
+        EXPECT_EQ(reused.injected, stats->injected) << "trial " << t;
+        EXPECT_EQ(reused.delivered, stats->delivered) << "trial " << t;
+        EXPECT_EQ(reused.undeliverable, stats->undeliverable) << "trial " << t;
+        EXPECT_EQ(reused.timed_out, stats->timed_out) << "trial " << t;
+        EXPECT_EQ(reused.cycles, stats->cycles) << "trial " << t;
+        EXPECT_EQ(reused.total_latency, stats->total_latency) << "trial " << t;
+        EXPECT_EQ(reused.max_latency, stats->max_latency) << "trial " << t;
+        EXPECT_EQ(reused.total_hops, stats->total_hops) << "trial " << t;
+        EXPECT_EQ(reused.max_queue_depth, stats->max_queue_depth) << "trial " << t;
+      }
+    } else {
+      std::vector<NodeId> hit;
+      for (const NodeId f : draw.faults.nodes()) {
+        if (f < n) hit.push_back(f);
+      }
+      if (hit.size() < n) {
+        const sim::Machine degraded =
+            sim::Machine::direct_with_faults(target, FaultSet(n, std::move(hit)));
+        stats = sim::run_packets(degraded, target, traffic,
+                                 {.max_cycles = max_cycles, .router = {}});
+      }
+    }
+    if (stats) {
+      want.traffic_delivered.add(stats->delivered_fraction());
+      if (stats->delivered > 0) want.traffic_latency.add(stats->average_latency());
+      want.traffic_congestion.add(static_cast<double>(stats->max_queue_depth));
+      want.traffic_timed_out += stats->timed_out;
+    } else {
+      want.traffic_delivered.add(0.0);
+    }
+  }
+  // Both paths must have been exercised for the comparison to mean anything.
+  EXPECT_GT(presented, spec.trials / 2);
+  EXPECT_GT(failed, 0u);
+
+  const ScenarioResult got = run_campaign(spec, {.threads = 2}).scenarios.at(0);
+  EXPECT_TRUE(same_stats(got.route_stretch, want.route_stretch));
+  EXPECT_TRUE(same_stats(got.traffic_delivered, want.traffic_delivered));
+  EXPECT_TRUE(same_stats(got.traffic_latency, want.traffic_latency));
+  EXPECT_TRUE(same_stats(got.traffic_congestion, want.traffic_congestion));
+  EXPECT_EQ(got.traffic_timed_out, want.traffic_timed_out);
+}
+
+TEST(PresentedTrialReuse, DebruijnSampledStretchAndTraffic) {
+  replay_presented_trials(TopologyFamily::DeBruijn, 48);
+}
+
+TEST(PresentedTrialReuse, DebruijnFullStretchAndTraffic) {
+  replay_presented_trials(TopologyFamily::DeBruijn, 0);
+}
+
+TEST(PresentedTrialReuse, ShuffleExchangeSampledStretchAndTraffic) {
+  replay_presented_trials(TopologyFamily::ShuffleExchange, 48);
+}
+
+TEST(PresentedTrialReuse, ShuffleExchangeFullStretchAndTraffic) {
+  replay_presented_trials(TopologyFamily::ShuffleExchange, 0);
 }
 
 }  // namespace

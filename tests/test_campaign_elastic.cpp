@@ -3,9 +3,19 @@
 // serial run, and live partial reports.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
+#include <thread>
 
 #include "campaign/elastic/blocklog.hpp"
 #include "campaign/elastic/elastic.hpp"
@@ -351,6 +361,125 @@ TEST(ElasticWorker, RestartedWorkerIdReusesItsLogSafely) {
   const CampaignResult elastic = merge_elastic(spec, {dir.str()});
   const CampaignResult serial = run_campaign(spec, {});
   EXPECT_EQ(campaign_report_json(elastic), campaign_report_json(serial));
+}
+
+TEST(ElasticWorker, HolderReleasingBeforeTheClaimLeavesNothingToRun) {
+  // A holder that appends its cell's last block and releases the lease after
+  // a second worker read the progress, but before that worker claims the
+  // cell, must cost the second worker nothing: the claim is followed by a
+  // fresh read, which finds the cell complete.
+  const ScratchDir dir("elastic-release-race");
+  const ScenarioSpec spec = tiny_spec();
+  const std::vector<ScenarioCase> cells = expand_grid(spec);
+  ASSERT_EQ(cells.size(), 2u);
+  // The second worker tries `first` before `late`, in predicted-cost order.
+  const bool zero_first =
+      predicted_cell_cost(spec, cells[0]) >= predicted_cell_cost(spec, cells[1]);
+  const std::size_t first = zero_first ? 0 : 1;
+  const std::size_t late = zero_first ? 1 : 0;
+  const auto lease_of = [&](std::size_t cell) {
+    return dir.sub("leases/cell-" + std::to_string(cell) + ".lease");
+  };
+  ensure_elastic_dir(spec, dir.str());
+
+  // The holder has made two of `late`'s three blocks durable.
+  const std::uint64_t fp = spec_fingerprint(spec);
+  const CellRunner late_runner(spec, cells[late]);
+  Lease late_lease = Lease::try_acquire(lease_of(late), "holder", 600);
+  ASSERT_TRUE(late_lease.held());
+  BlockLog holder_log(dir.sub("logs/holder.blk"), fp, false);
+  holder_log.append({late, 0, late_runner.run_block(0)});
+  holder_log.append({late, 1, late_runner.run_block(1)});
+
+  // `first`'s lease is a FIFO: the second worker's claim attempt blocks
+  // reading it, after its sweep has read the progress and before it reaches
+  // `late`. That window is where the holder finishes.
+  ASSERT_EQ(::mkfifo(lease_of(first).c_str(), 0600), 0);
+  ElasticOptions opt = quick_options(dir.str(), "second");
+  opt.threads = 1;
+  std::optional<ElasticResult> second;
+  std::thread worker([&] { second = run_elastic_worker(spec, opt); });
+
+  int fifo = -1;
+  for (int i = 0; i < 3000 && fifo < 0; ++i) {
+    fifo = ::open(lease_of(first).c_str(), O_WRONLY | O_NONBLOCK);
+    if (fifo < 0) {
+      ASSERT_EQ(errno, ENXIO);  // no reader yet
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  if (fifo < 0) {
+    // The worker is stuck somewhere other than the lease read, holding
+    // references into this frame, so there is no clean way to unwind.
+    std::fprintf(stderr, "the second worker never read the first cell's lease\n");
+    std::abort();
+  }
+  holder_log.append({late, 2, late_runner.run_block(2)});
+  late_lease.release();
+  // The holder also holds `first`, live: a regular stamp replaces the FIFO
+  // for later reads, and the blocked reader gets the same stamp.
+  LeaseStamp stamp;
+  stamp.worker = "holder";
+  stamp.pid = 1;
+  stamp.host = "test";
+  stamp.heartbeat_secs = lease_now_secs();
+  stamp.ttl_secs = 600;
+  const std::string text = lease_stamp_json(stamp);
+  std::ofstream(dir.sub("first.tmp"), std::ios::trunc) << text;
+  fs::rename(dir.sub("first.tmp"), lease_of(first));
+  ASSERT_EQ(::write(fifo, text.data(), text.size()), static_cast<ssize_t>(text.size()));
+  ::close(fifo);
+
+  // The holder finishes `first` too, so the second worker can complete.
+  const CellRunner first_runner(spec, cells[first]);
+  for (std::uint64_t b = 0; b < 3; ++b) holder_log.append({first, b, first_runner.run_block(b)});
+  fs::remove(lease_of(first));
+  worker.join();
+
+  ASSERT_TRUE(second.has_value());
+  EXPECT_TRUE(second->campaign_complete);
+  EXPECT_EQ(second->cells_leased, 1u);   // it did claim `late`, after the release...
+  EXPECT_EQ(second->blocks_skipped, 3u); // ...saw all three blocks durable...
+  EXPECT_EQ(second->blocks_run, 0u);     // ...and ran none of them
+  EXPECT_EQ(campaign_report_json(merge_elastic(spec, {dir.str()})),
+            campaign_report_json(run_campaign(spec, {})));
+}
+
+TEST(ElasticProgressCache, ReparsesOnlyChangedFilesAndMatchesAFreshLoad) {
+  const ScratchDir dir("elastic-cache");
+  const ScenarioSpec spec = tiny_spec();
+  const std::vector<ScenarioCase> cells = expand_grid(spec);
+  const std::uint64_t fp = spec_fingerprint(spec);
+  ensure_elastic_dir(spec, dir.str());
+  const CellRunner r0(spec, cells[0]);
+  const CellRunner r1(spec, cells[1]);
+  BlockLog a(dir.sub("logs/a.blk"), fp, false);
+  BlockLog b(dir.sub("logs/b.blk"), fp, false);
+  a.append({0, 0, r0.run_block(0)});
+  b.append({1, 2, r1.run_block(2)});
+
+  // The progress a load sees, as the checkpoint document it would compact to.
+  const auto text_of = [&](const ElasticProgress& p) {
+    Checkpoint ckpt;
+    ckpt.cells = p.cells;
+    return checkpoint_to_json(spec, ckpt);
+  };
+  ProgressCache cache;
+  const auto expect_fresh = [&](std::uint64_t parses) {
+    const ElasticProgress cached = load_elastic_progress(spec, dir.str(), &cache);
+    EXPECT_EQ(cache.parses(), parses);
+    EXPECT_EQ(text_of(cached), text_of(load_elastic_progress(spec, dir.str())));
+    EXPECT_EQ(cached.durable_blocks, load_elastic_progress(spec, dir.str()).durable_blocks);
+  };
+  expect_fresh(2);  // both logs parsed, no checkpoint yet
+  expect_fresh(2);  // nothing changed, nothing re-parsed
+  a.append({0, 1, r0.run_block(1)});
+  expect_fresh(3);  // only the grown log
+  ASSERT_TRUE(compact_elastic_dir(spec, dir.str(), "a", &a, 60, false, {}, nullptr, &cache));
+  expect_fresh(5);  // the new checkpoint and the emptied log a
+  b.append({1, 0, r1.run_block(0)});
+  expect_fresh(6);
+  expect_fresh(6);
 }
 
 // --- partial reports --------------------------------------------------------
