@@ -1,18 +1,20 @@
 // perf_routing: the Router backends head-to-head — build time, next-hop
 // latency, and the memory story that motivates the whole abstraction.
 //
-// The build_* entries construct each backend on B_{2,10} (1024 nodes; the
-// table slab is ~6 MB there, the compressed runs ~100 KB, the implicit
-// router 0 bytes). The next_hop_* entries walk full canonical routes for a
+// The build_* entries construct each backend directly on B_{2,10} (1024
+// nodes; the table slab is ~6 MB there, the compressed router's retained CSR
+// ~33 KB, the implicit router 0 bytes; build_implicit includes the shape
+// detection). The next_hop_* entries walk full canonical routes for a
 // fixed random pair sample, so wall_seconds / hops is the per-hop latency of
 // the backend — the latency the engine's forwarding loop pays.
 //
 // implicit_b2_h18 is the scale demonstration: a healthy de Bruijn machine at
-// N = 2^18 routes through the auto-selected implicit backend with zero
+// N = 2^18 routes through make_router()'s implicit backend with zero
 // router-owned memory, where the table backend's slab would be
 // N^2 * 6 bytes ≈ 412 GB (reported as table_equivalent_bytes). No N^2
 // allocation happens anywhere in the entry.
 #include <chrono>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -23,24 +25,22 @@
 namespace {
 
 using ftdb::analysis::BenchContext;
+using ftdb::sim::CompressedRouter;
+using ftdb::sim::ImplicitRouter;
 using ftdb::sim::Router;
 using ftdb::sim::RouterBackend;
-using ftdb::sim::RouterOptions;
+using ftdb::sim::TableRouter;
 
 constexpr unsigned kSmallH = 10;
 
-RouterOptions forced(RouterOptions::Backend backend) {
-  RouterOptions options;
-  options.backend = backend;
-  return options;
-}
-
-void build_bench(BenchContext& ctx, RouterOptions::Backend backend, int iterations) {
+/// Times `iterations` builds of the router `build` returns for B_{2,10}.
+template <class Build>
+void build_bench(BenchContext& ctx, int iterations, Build&& build) {
   const ftdb::Graph g = ftdb::debruijn_base2(kSmallH);
   std::size_t memory = 0;
   std::size_t selected_implicit = 0;
   for (int i = 0; i < iterations; ++i) {
-    const auto router = ftdb::sim::make_router(g, forced(backend));
+    const auto router = build(g);
     memory = router->memory_bytes();
     selected_implicit = router->backend() == RouterBackend::Implicit ? 1 : 0;
   }
@@ -51,43 +51,20 @@ void build_bench(BenchContext& ctx, RouterOptions::Backend backend, int iteratio
 }
 
 FTDB_BENCH(build_table, "perf_routing/build_table_b2_h10") {
-  build_bench(ctx, RouterOptions::Backend::Table, 5);
+  build_bench(ctx, 5, [](const ftdb::Graph& g) { return std::make_unique<TableRouter>(g); });
 }
 
 FTDB_BENCH(build_compressed, "perf_routing/build_compressed_b2_h10") {
-  build_bench(ctx, RouterOptions::Backend::Compressed, 5);
+  build_bench(ctx, 5,
+              [](const ftdb::Graph& g) { return std::make_unique<CompressedRouter>(g); });
 }
 
 FTDB_BENCH(build_implicit, "perf_routing/build_implicit_b2_h10") {
-  // Auto selection: the cost here is the shape detection plus an O(1) object.
-  build_bench(ctx, RouterOptions::Backend::Auto, 5);
-}
-
-/// Destination-sharded build: same bit-identical table, build_threads-way
-/// parallel per-destination BFS. On a single-core runner this measures the
-/// sharding overhead (thread spawn + join); on real hardware the speedup.
-void build_sharded_bench(BenchContext& ctx, RouterOptions::Backend backend, unsigned threads,
-                         int iterations) {
-  const ftdb::Graph g = ftdb::debruijn_base2(kSmallH);
-  RouterOptions options = forced(backend);
-  options.build_threads = threads;
-  std::size_t memory = 0;
-  for (int i = 0; i < iterations; ++i) {
-    const auto router = ftdb::sim::make_router(g, options);
-    memory = router->memory_bytes();
-  }
-  ctx.report("iterations", iterations);
-  ctx.report("nodes", static_cast<double>(g.num_nodes()));
-  ctx.report("build_threads", static_cast<double>(threads));
-  ctx.report("router_memory_bytes", static_cast<double>(memory));
-}
-
-FTDB_BENCH(build_table_sharded, "perf_routing/build_table_b2_h10_threads0") {
-  build_sharded_bench(ctx, RouterOptions::Backend::Table, 0, 5);
-}
-
-FTDB_BENCH(build_compressed_sharded, "perf_routing/build_compressed_b2_h10_threads0") {
-  build_sharded_bench(ctx, RouterOptions::Backend::Compressed, 0, 5);
+  // The cost here is the shape detection plus an O(1) object.
+  build_bench(ctx, 5, [](const ftdb::Graph& g) {
+    return std::make_unique<ImplicitRouter>(
+        ImplicitRouter::for_debruijn(*ftdb::debruijn_shape_of(g)));
+  });
 }
 
 /// Routes `pairs` random (src, dst) pairs hop by hop through next_hop() —
@@ -118,27 +95,24 @@ void next_hop_bench(BenchContext& ctx, const ftdb::Graph& g, const Router& route
   ctx.report("router_memory_bytes", static_cast<double>(router.memory_bytes()));
 }
 
-void next_hop_small(BenchContext& ctx, RouterOptions::Backend backend) {
-  const ftdb::Graph g = ftdb::debruijn_base2(kSmallH);
-  const auto router = ftdb::sim::make_router(g, forced(backend));
-  next_hop_bench(ctx, g, *router, 20000);
-}
-
 FTDB_BENCH(next_hop_table, "perf_routing/next_hop_table_b2_h10") {
-  next_hop_small(ctx, RouterOptions::Backend::Table);
+  const ftdb::Graph g = ftdb::debruijn_base2(kSmallH);
+  next_hop_bench(ctx, g, TableRouter(g), 20000);
 }
 
 FTDB_BENCH(next_hop_compressed, "perf_routing/next_hop_compressed_b2_h10") {
-  next_hop_small(ctx, RouterOptions::Backend::Compressed);
+  const ftdb::Graph g = ftdb::debruijn_base2(kSmallH);
+  next_hop_bench(ctx, g, CompressedRouter(g), 20000);
 }
 
 FTDB_BENCH(next_hop_implicit, "perf_routing/next_hop_implicit_b2_h10") {
-  next_hop_small(ctx, RouterOptions::Backend::Implicit);
+  const ftdb::Graph g = ftdb::debruijn_base2(kSmallH);
+  next_hop_bench(ctx, g, ImplicitRouter::for_debruijn({.base = 2, .digits = kSmallH}), 20000);
 }
 
 FTDB_BENCH(implicit_h18, "perf_routing/implicit_b2_h18") {
   const ftdb::Graph g = ftdb::debruijn_base2(18);  // N = 262144
-  const auto router = ftdb::sim::make_router(g);   // auto: must go implicit
+  const auto router = ftdb::sim::make_router(g);   // 2^18 nodes: must go implicit
   ctx.report("implicit_selected",
              router->backend() == RouterBackend::Implicit ? 1.0 : 0.0);
   const double n = static_cast<double>(g.num_nodes());
@@ -154,7 +128,7 @@ FTDB_BENCH(route_many_h18, "perf_routing/route_many_implicit_b2_h18") {
   // This is the path the scalar implicit_b2_h18 entry is the baseline for —
   // identical canonical routes (same checksum discipline), batched latency.
   const ftdb::Graph g = ftdb::debruijn_base2(18);  // N = 262144
-  const auto router = ftdb::sim::make_router(g);   // auto: must go implicit
+  const auto router = ftdb::sim::make_router(g);   // 2^18 nodes: must go implicit
   ctx.report("implicit_selected",
              router->backend() == RouterBackend::Implicit ? 1.0 : 0.0);
   const std::size_t n = g.num_nodes();

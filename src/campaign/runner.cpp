@@ -392,40 +392,31 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
       if (d != kUnreachable) acc.reconfigured_diameter.add(static_cast<double>(d));
     }
     if (want_stretch) {
-      // The audit's numerator is the machine's logical router; a machine
-      // that runs as the healthy one routes as the target does, so the
-      // block's healthy router stands in for a rebuilt one. The denominator
-      // (the trial's own physical survivor graph) is computed either way.
-      const sim::Router* healthy_router =
-          as_healthy ? &healthy_simulator(ctx, scratch).router() : nullptr;
-      if (ctx.metrics.stretch_sample_pairs == 0) {
-        acc.route_stretch.add(
-            healthy_router != nullptr
-                ? sim::max_route_stretch_with_router(machine, *healthy_router)
-            : se_family ? sim::max_route_stretch_se(machine, ctx.cell.topology.digits)
-                        : sim::max_route_stretch(machine, ctx.cell.topology.base,
-                                                 ctx.cell.topology.digits));
-      } else {
-        // Counter-based pair sample: drawn from the trial's own RNG stream
-        // (after the fault draw), so the report stays byte-identical across
-        // thread counts and checkpoint/resume. Self-pairs are dropped rather
-        // than redrawn to keep the stream consumption fixed.
+      // Counter-based pair sample: drawn from the trial's own RNG stream
+      // (after the fault draw), so the report stays byte-identical across
+      // thread counts and checkpoint/resume. Self-pairs are dropped rather
+      // than redrawn to keep the stream consumption fixed. No sample audits
+      // every pair.
+      std::vector<std::pair<NodeId, NodeId>> pairs;
+      if (ctx.metrics.stretch_sample_pairs != 0) {
         const std::uint64_t n_nodes = ctx.target.num_nodes();
-        std::vector<std::pair<NodeId, NodeId>> pairs;
         pairs.reserve(ctx.metrics.stretch_sample_pairs);
         for (std::uint64_t i = 0; i < ctx.metrics.stretch_sample_pairs; ++i) {
           const NodeId s = static_cast<NodeId>(rng.next_u64() % n_nodes);
           const NodeId d = static_cast<NodeId>(rng.next_u64() % n_nodes);
           if (s != d) pairs.emplace_back(s, d);
         }
-        acc.route_stretch.add(
-            healthy_router != nullptr
-                ? sim::max_route_stretch_with_router(machine, *healthy_router, &pairs)
-            : se_family
-                ? sim::max_route_stretch_se_sampled(machine, ctx.cell.topology.digits, pairs)
-                : sim::max_route_stretch_sampled(machine, ctx.cell.topology.base,
-                                                 ctx.cell.topology.digits, pairs));
       }
+      // The audit's numerator is the machine's logical router; a machine
+      // that runs as the healthy one routes as the target does, so the
+      // block's healthy router stands in for a rebuilt one. The denominator
+      // (the trial's own physical survivor graph) is computed either way.
+      std::unique_ptr<sim::Router> rebuilt;
+      const sim::Router& router =
+          as_healthy ? healthy_simulator(ctx, scratch).router()
+                     : *(rebuilt = sim::machine_logical_router(machine, ctx.target));
+      acc.route_stretch.add(sim::max_route_stretch_with_router(
+          machine, router, ctx.metrics.stretch_sample_pairs != 0 ? &pairs : nullptr));
     }
   } else if (!success && ctx.metrics.diameter) {
     // Degraded machine: whatever the survivors still form.
@@ -534,7 +525,7 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
       stats = healthy_simulator(ctx, scratch).run(packets, ctx.traffic_max_cycles);
     } else if (success) {
       stats = sim::run_packets(*reconfigured, ctx.target, packets,
-                               {.max_cycles = ctx.traffic_max_cycles, .router = {}});
+                               {.max_cycles = ctx.traffic_max_cycles});
     } else {
       std::vector<NodeId> hit;
       for (const NodeId f : draw.faults.nodes()) {
@@ -544,7 +535,7 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
         const sim::Machine degraded = sim::Machine::direct_with_faults(
             ctx.target, FaultSet(n_nodes, std::move(hit)));
         stats = sim::run_packets(degraded, ctx.target, packets,
-                                 {.max_cycles = ctx.traffic_max_cycles, .router = {}});
+                                 {.max_cycles = ctx.traffic_max_cycles});
       }
       // else: every target node dead — nothing can inject; scored below.
     }

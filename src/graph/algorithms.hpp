@@ -52,7 +52,7 @@ std::vector<std::size_t> degree_histogram(const Graph& g);
 /// `cur` that is strictly closer per `dist_of` (i.e. dist_of(w) + 1 ==
 /// dist_of(cur)); kInvalidNode when no neighbor qualifies. CSR adjacency is
 /// sorted, so "first match" is the minimum id. Every routing backend (BFS
-/// next-hop tables, the run-length compressed tables, the algebraic implicit
+/// next-hop tables, the shape-delta compressed router, the algebraic implicit
 /// router) and the embedding metrics' path descent share this one rule —
 /// that is what makes their shortest paths hop-for-hop identical. `dist_of`
 /// must return an unsigned type whose "unreachable" sentinel is the maximum

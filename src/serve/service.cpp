@@ -92,11 +92,7 @@ ReconfigurationService::ReconfigurationService(const ServeConfig& config)
   num_physical_ = target_.num_nodes() + config.spares;
   healthy_ = sim::make_router(target_);
 
-  auto bare = std::make_shared<const sim::CompressedRouter>(target_);
-  if (!bare->uses_reference_shape()) {
-    throw std::logic_error("ReconfigurationService: healthy target not shape-detected");
-  }
-  head_owner_ = build_epoch(std::move(bare));
+  head_owner_ = build_epoch(std::make_shared<const sim::CompressedRouter>(target_));
   head_.store(head_owner_.get());
 
   if (!config_.journal_path.empty()) {

@@ -5,14 +5,19 @@
 #include <cassert>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace ftdb::sim {
 
+PacketSimulator::PacketSimulator(const Machine& machine, const Graph& target)
+    : PacketSimulator(machine, target, make_router(machine.live_logical_graph(target))) {}
+
 PacketSimulator::PacketSimulator(const Machine& machine, const Graph& target,
-                                 const RouterOptions& options)
-    : machine_(&machine),
-      live_(machine.live_logical_graph(target)),
-      router_(make_router(live_, options)) {
+                                 std::unique_ptr<Router> router)
+    : machine_(&machine), live_(machine.live_logical_graph(target)), router_(std::move(router)) {
+  if (router_->num_nodes() != live_.num_nodes()) {
+    throw std::invalid_argument("PacketSimulator: router and live graph differ in node count");
+  }
   // Directed link ids: per node, one queue per (sorted) neighbor.
   const std::size_t n = live_.num_nodes();
   link_base_.assign(n + 1, 0);
@@ -190,7 +195,7 @@ SimStats PacketSimulator::run(const std::vector<Packet>& packets, std::uint64_t 
 
 SimStats run_packets(const Machine& machine, const Graph& target,
                      const std::vector<Packet>& packets, const EngineOptions& options) {
-  PacketSimulator sim(machine, target, options.router);
+  PacketSimulator sim(machine, target);
   return sim.run(packets, options.max_cycles);
 }
 

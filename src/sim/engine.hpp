@@ -56,11 +56,6 @@ struct EngineOptions {
   /// Packets still in flight at the cut count as SimStats::timed_out, so
   /// injected == delivered + undeliverable + timed_out holds unconditionally.
   std::uint64_t max_cycles = 0;
-  /// Routing backend selection for the live logical graph. The default Auto
-  /// routes healthy (and dilation-1 reconfigured) de Bruijn / shuffle-exchange
-  /// machines through the O(1)-memory implicit router, so simulations scale
-  /// to N where a table slab would be gigabytes.
-  RouterOptions router;
 };
 
 /// Reusable simulation context for one machine: the live logical graph, its
@@ -80,10 +75,20 @@ struct EngineOptions {
 /// match that scan exactly. The peak queue depth is read only from links
 /// pushed in the cycle: a link that was not pushed only shrank, so it cannot
 /// raise the running maximum.
+///
+/// The live logical graph is routed by make_router(), which sends healthy
+/// (and dilation-1 reconfigured) de Bruijn / shuffle-exchange machines from
+/// 2^12 nodes up through the O(1)-memory implicit router, so simulations
+/// scale to N where a table slab would be gigabytes.
 class PacketSimulator {
  public:
-  PacketSimulator(const Machine& machine, const Graph& target,
-                  const RouterOptions& options = {});
+  PacketSimulator(const Machine& machine, const Graph& target);
+
+  /// Runs over a prebuilt `router` of the live logical graph instead of
+  /// make_router()'s pick, so a test can substitute the backend. Throws
+  /// std::invalid_argument when the router's node count differs from the
+  /// live graph's.
+  PacketSimulator(const Machine& machine, const Graph& target, std::unique_ptr<Router> router);
 
   /// Runs one batch of logical packets to completion (or to max_cycles).
   /// Queues are drained/reset between runs, so successive batches are

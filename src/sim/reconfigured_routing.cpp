@@ -7,7 +7,6 @@
 #include "graph/multi_source_bfs.hpp"
 #include "graph/subgraph.hpp"
 #include "topology/debruijn.hpp"
-#include "topology/shuffle_exchange.hpp"
 
 namespace ftdb::sim {
 
@@ -48,9 +47,8 @@ std::vector<NodeId> se_route_on_machine(const Machine& machine, unsigned h,
   return physical_route(machine, shuffle_exchange_route(h, logical_src, logical_dst));
 }
 
-std::unique_ptr<Router> machine_logical_router(const Machine& machine, const Graph& target,
-                                               const RouterOptions& options) {
-  return make_router(machine.live_logical_graph(target), options);
+std::unique_ptr<Router> machine_logical_router(const Machine& machine, const Graph& target) {
+  return make_router(machine.live_logical_graph(target));
 }
 
 namespace {
@@ -148,7 +146,7 @@ double stretch_sampled_pairs(const Machine& machine, const Router& router,
     groups.clear();
     while (i < sorted.size() && batch.size() < MultiSourceBfs::kBatchWidth) {
       const NodeId src = sorted[i].first;
-      if (src >= n) throw std::out_of_range("max_route_stretch_sampled: source out of range");
+      if (src >= n) throw std::out_of_range("stretch audit: source out of range");
       std::size_t j = i;
       while (j < sorted.size() && sorted[j].first == src) ++j;
       groups.push_back({src, i, j});
@@ -163,7 +161,7 @@ double stretch_sampled_pairs(const Machine& machine, const Router& router,
     ld_srcs.clear();
     for (std::size_t p = wave_begin; p < wave_end; ++p) {
       if (sorted[p].second >= n) {
-        throw std::out_of_range("max_route_stretch_sampled: destination out of range");
+        throw std::out_of_range("stretch audit: destination out of range");
       }
       ld_dsts.push_back(sorted[p].second);
       ld_srcs.push_back(sorted[p].first);
@@ -196,25 +194,9 @@ double max_route_stretch_with_router(const Machine& machine, const Router& route
                           : stretch_sampled_pairs(machine, router, view, *pairs);
 }
 
-double max_route_stretch(const Machine& machine, std::uint64_t m, unsigned h) {
-  const Graph target = debruijn_graph({.base = m, .digits = h});
-  return max_route_stretch_with_router(machine, *machine_logical_router(machine, target));
-}
-
 double max_route_stretch_sampled(const Machine& machine, std::uint64_t m, unsigned h,
                                  const std::vector<std::pair<NodeId, NodeId>>& pairs) {
   const Graph target = debruijn_graph({.base = m, .digits = h});
-  return max_route_stretch_with_router(machine, *machine_logical_router(machine, target), &pairs);
-}
-
-double max_route_stretch_se(const Machine& machine, unsigned h) {
-  const Graph target = shuffle_exchange_graph(h);
-  return max_route_stretch_with_router(machine, *machine_logical_router(machine, target));
-}
-
-double max_route_stretch_se_sampled(const Machine& machine, unsigned h,
-                                    const std::vector<std::pair<NodeId, NodeId>>& pairs) {
-  const Graph target = shuffle_exchange_graph(h);
   return max_route_stretch_with_router(machine, *machine_logical_router(machine, target), &pairs);
 }
 

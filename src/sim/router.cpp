@@ -4,10 +4,8 @@
 #include <array>
 #include <atomic>
 #include <bit>
-#include <exception>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "graph/algorithms.hpp"
@@ -64,6 +62,44 @@ void Router::distance_many(std::span<const NodeId> dests, std::span<const NodeId
                            std::span<std::uint32_t> out) const {
   check_batch_spans(dests.size(), nodes.size(), out.size());
   for (std::size_t i = 0; i < dests.size(); ++i) out[i] = distance(dests[i], nodes[i]);
+}
+
+// --- TableRouter -------------------------------------------------------------
+
+TableRouter::TableRouter(const Graph& g)
+    : n_(g.num_nodes()), table_(n_ * n_, kInvalidNode), dist_(n_ * n_, kNoPath) {
+  // BFS from each destination, writing straight into this destination's slab
+  // row, then one canonical-descent pass assigning every node its lowest-id
+  // closer neighbor.
+  std::vector<NodeId> cur, next;
+  for (std::size_t dest = 0; dest < n_; ++dest) {
+    const std::size_t base = dest * n_;
+    dist_[base + dest] = 0;
+    table_[base + dest] = static_cast<NodeId>(dest);
+    cur.assign(1, static_cast<NodeId>(dest));
+    std::uint16_t level = 0;
+    while (!cur.empty()) {
+      if (level == kNoPath - 1) {
+        throw std::length_error("TableRouter: distance exceeds the uint16 slab");
+      }
+      ++level;
+      next.clear();
+      for (const NodeId u : cur) {
+        for (const NodeId v : g.neighbors(u)) {
+          if (dist_[base + v] == kNoPath) {
+            dist_[base + v] = level;
+            next.push_back(v);
+          }
+        }
+      }
+      cur.swap(next);
+    }
+    const auto dist_of = [&](NodeId w) { return static_cast<std::uint32_t>(dist_[base + w]); };
+    for (std::size_t v = 0; v < n_; ++v) {
+      if (v == dest || dist_[base + v] == kNoPath) continue;
+      table_[base + v] = canonical_descent_step(g, static_cast<NodeId>(v), dist_of);
+    }
+  }
 }
 
 // --- CompressedRouter --------------------------------------------------------
@@ -163,34 +199,6 @@ ReferenceShape find_reference_shape(const Graph& g) {
     }
   }
   return shape;
-}
-
-/// Runs fn(chunk_index, dest_lo, dest_hi) over `chunks` contiguous
-/// destination ranges, on `chunks` threads when more than one. Exceptions
-/// propagate (first one wins).
-template <class Fn>
-void for_each_dest_chunk(std::size_t n, unsigned chunks, Fn&& fn) {
-  if (chunks <= 1) {
-    fn(0u, std::size_t{0}, n);
-    return;
-  }
-  const std::size_t per = (n + chunks - 1) / chunks;
-  std::vector<std::exception_ptr> errors(chunks);
-  std::vector<std::thread> pool;
-  pool.reserve(chunks);
-  for (unsigned c = 0; c < chunks; ++c) {
-    pool.emplace_back([&, c] {
-      try {
-        fn(c, std::min(n, c * per), std::min(n, (c + 1) * per));
-      } catch (...) {
-        errors[c] = std::current_exception();
-      }
-    });
-  }
-  for (std::thread& t : pool) t.join();
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
 }
 
 // Per-shape plumbing shared by the compressed router's reference algebra and
@@ -390,7 +398,7 @@ constexpr unsigned kRetractRadius = 2;
 
 }  // namespace
 
-CompressedRouter::CompressedRouter(const Graph& g, unsigned build_threads) : n_(g.num_nodes()) {
+CompressedRouter::CompressedRouter(const Graph& g) : n_(g.num_nodes()) {
   const ReferenceShape shape = find_reference_shape(g);
   if (shape.debruijn) {
     reference_ = Reference::DeBruijn;
@@ -398,119 +406,45 @@ CompressedRouter::CompressedRouter(const Graph& g, unsigned build_threads) : n_(
   } else if (shape.se_h != 0) {
     reference_ = Reference::ShuffleExchange;
     se_h_ = shape.se_h;
+  } else {
+    throw std::invalid_argument(
+        "CompressedRouter: graph sits inside no de Bruijn or shuffle-exchange shape");
   }
 
-  const unsigned threads = sharded_build_threads(build_threads, n_);
-
-  if (reference_ != Reference::None) {
-    // Shape-delta. The graph itself is retained for the canonical descent at
-    // query time. A graph equal to its reference shape deviates nowhere, so
-    // only a proper subgraph pays for the per-destination scans.
-    graph_ = g;
-    if (shape.equal) {
-      exception_offsets_.assign(n_ + 1, 0);
-    } else if (reference_ == Reference::DeBruijn) {
-      build_shape_delta(debruijn_ops(db_, n_), g, threads);
-    } else {
-      build_shape_delta(ShuffleExchangeShapeOps{se_h_}, g, threads);
-    }
-    // Nodes already isolated in the input graph are adopted as retired faults,
-    // so a router built from a degraded machine supports retract_fault too.
-    for (std::size_t u = 0; u < n_; ++u) {
-      if (graph_.degree(static_cast<NodeId>(u)) == 0) {
-        faulty_.push_back(static_cast<NodeId>(u));
-      }
-    }
-    return;
+  // The graph itself is retained for the canonical descent at query time. A
+  // graph equal to its reference shape deviates nowhere, so only a proper
+  // subgraph pays for the per-destination scans.
+  graph_ = g;
+  if (shape.equal) {
+    exception_offsets_.assign(n_ + 1, 0);
+  } else if (reference_ == Reference::DeBruijn) {
+    build_shape_delta(debruijn_ops(db_, n_), g);
+  } else {
+    build_shape_delta(ShuffleExchangeShapeOps{se_h_}, g);
   }
-
-  // Run-length fallback: a destination-major sweep; a new run whenever a
-  // node's canonical hop differs from its previous destination's. The full
-  // N^2 matrix is never materialized. The cross-destination `last` dependency
-  // is the only thing coupling the sweep, so each chunk scans independently
-  // (emitting a run for every node at its first destination) and the stitch
-  // drops each chunk's boundary runs that merely continue the previous
-  // chunk's final hop — reproducing the serial run sequence exactly.
-  struct RawRun {
-    NodeId node;
-    NodeId dest_lo;
-    NodeId hop;
-  };
-  struct RunChunk {
-    std::size_t dest_lo = 0;
-    std::vector<RawRun> raw;
-    std::vector<NodeId> final_hop;  // each node's hop at the chunk's last dest
-  };
-  std::vector<RunChunk> chunks(threads);
-  for_each_dest_chunk(n_, threads, [&](unsigned chunk, std::size_t lo, std::size_t hi) {
-    RunChunk& out = chunks[chunk];
-    out.dest_lo = lo;
-    std::vector<std::uint32_t> row(n_);
-    std::vector<NodeId> cur, next;
-    std::vector<NodeId> last(n_, kInvalidNode);
-    const auto dist_of = [&](NodeId w) { return row[w]; };
-    for (std::size_t dest = lo; dest < hi; ++dest) {
-      bfs_row_graph(g, static_cast<NodeId>(dest), row, cur, next);
-      for (std::size_t v = 0; v < n_; ++v) {
-        NodeId hop;
-        if (v == dest) {
-          hop = static_cast<NodeId>(dest);
-        } else if (row[v] == kUnreachable) {
-          hop = kInvalidNode;
-        } else {
-          hop = canonical_descent_step(g, static_cast<NodeId>(v), dist_of);
-        }
-        if (dest == lo || hop != last[v]) {
-          out.raw.push_back({static_cast<NodeId>(v), static_cast<NodeId>(dest), hop});
-        }
-        last[v] = hop;
-      }
-    }
-    out.final_hop = std::move(last);
-  });
-  std::vector<RawRun> raw;
-  for (std::size_t c = 0; c < chunks.size(); ++c) {
-    for (const RawRun& r : chunks[c].raw) {
-      if (c > 0 && r.dest_lo == chunks[c].dest_lo &&
-          r.hop == chunks[c - 1].final_hop[r.node]) {
-        continue;  // continuation of the previous chunk's open run
-      }
-      raw.push_back(r);
-    }
-  }
-  // Counting-sort the destination-major runs into per-node CSR order (stable,
-  // so each node's runs stay ascending in dest_lo).
-  run_offsets_.assign(n_ + 1, 0);
-  for (const RawRun& r : raw) ++run_offsets_[r.node + 1];
-  for (std::size_t v = 0; v < n_; ++v) run_offsets_[v + 1] += run_offsets_[v];
-  run_dest_lo_.resize(raw.size());
-  run_hop_.resize(raw.size());
-  std::vector<std::size_t> cursor(run_offsets_.begin(), run_offsets_.end() - 1);
-  for (const RawRun& r : raw) {
-    const std::size_t i = cursor[r.node]++;
-    run_dest_lo_[i] = r.dest_lo;
-    run_hop_[i] = r.hop;
+  // Nodes already isolated in the input graph are adopted as retired faults,
+  // so a router built from a degraded machine supports retract_fault too.
+  for (std::size_t u = 0; u < n_; ++u) {
+    if (graph_.degree(static_cast<NodeId>(u)) == 0) faulty_.push_back(static_cast<NodeId>(u));
   }
 }
 
-// Shape-delta build of a proper subgraph: per destination, diff the exact BFS
-// row against a BFS of the reference shape (cheaper than N evaluations of the
-// O(h^2) formula, and provably equal to it); only the deviations are kept.
-// Each destination's scan is independent, so contiguous destination chunks
-// run on separate threads and their raw vectors concatenate in chunk order —
-// the same dest-major sequence a serial scan produces.
+// Build of a proper subgraph: per destination, diff the exact BFS row against
+// a BFS of the reference shape (cheaper than N evaluations of the O(h^2)
+// formula, and provably equal to it); only the deviations are kept. The scan
+// runs destination-major, so each node's exceptions come out sorted.
 template <class Ops>
-void CompressedRouter::build_shape_delta(const Ops& ops, const Graph& g, unsigned threads) {
+void CompressedRouter::build_shape_delta(const Ops& ops, const Graph& g) {
   struct RawException {
     NodeId node;
     NodeId dest;
     std::uint32_t dist;
   };
-  std::vector<std::vector<RawException>> chunk_raw(threads);
-  for_each_dest_chunk(n_, threads, [&](unsigned chunk, std::size_t lo, std::size_t hi) {
+  std::vector<RawException> raw;
+  {
     std::vector<std::uint32_t> row(n_), ref_row(n_);
     std::vector<NodeId> cur, next;
-    for (std::size_t dest = lo; dest < hi; ++dest) {
+    for (std::size_t dest = 0; dest < n_; ++dest) {
       bfs_row_graph(g, static_cast<NodeId>(dest), row, cur, next);
       // Same BFS over the algebraic adjacency (the shapes are symmetric, so
       // rooting at dest gives distance-to-dest).
@@ -518,17 +452,10 @@ void CompressedRouter::build_shape_delta(const Ops& ops, const Graph& g, unsigne
               [&](NodeId u, auto&& visit) { ops.for_each_neighbor(u, visit); });
       for (std::size_t v = 0; v < n_; ++v) {
         if (row[v] != ref_row[v]) {
-          chunk_raw[chunk].push_back({static_cast<NodeId>(v), static_cast<NodeId>(dest), row[v]});
+          raw.push_back({static_cast<NodeId>(v), static_cast<NodeId>(dest), row[v]});
         }
       }
     }
-  });
-  std::vector<RawException> raw;
-  {
-    std::size_t total = 0;
-    for (const auto& c : chunk_raw) total += c.size();
-    raw.reserve(total);
-    for (auto& c : chunk_raw) raw.insert(raw.end(), c.begin(), c.end());
   }
   exception_offsets_.assign(n_ + 1, 0);
   for (const RawException& e : raw) ++exception_offsets_[e.node + 1];
@@ -549,54 +476,31 @@ std::uint32_t CompressedRouter::reference_distance(NodeId dest, NodeId node) con
 }
 
 std::uint32_t CompressedRouter::distance(NodeId dest, NodeId node) const {
-  if (reference_ != Reference::None) {
-    const auto lo =
-        exception_dest_.begin() + static_cast<std::ptrdiff_t>(exception_offsets_[node]);
-    const auto hi =
-        exception_dest_.begin() + static_cast<std::ptrdiff_t>(exception_offsets_[node + 1]);
-    const auto it = std::lower_bound(lo, hi, dest);
-    if (it != hi && *it == dest) {
-      return exception_dist_[static_cast<std::size_t>(it - exception_dest_.begin())];
-    }
-    return reference_distance(dest, node);
+  const auto lo = exception_dest_.begin() + static_cast<std::ptrdiff_t>(exception_offsets_[node]);
+  const auto hi =
+      exception_dest_.begin() + static_cast<std::ptrdiff_t>(exception_offsets_[node + 1]);
+  const auto it = std::lower_bound(lo, hi, dest);
+  if (it != hi && *it == dest) {
+    return exception_dist_[static_cast<std::size_t>(it - exception_dest_.begin())];
   }
-  std::uint32_t hops = 0;
-  NodeId cur = node;
-  while (cur != dest) {
-    cur = next_hop(dest, cur);
-    if (cur == kInvalidNode) return static_cast<std::uint32_t>(-1);
-    ++hops;
-  }
-  return hops;
+  return reference_distance(dest, node);
 }
 
 NodeId CompressedRouter::next_hop(NodeId dest, NodeId node) const {
-  if (reference_ != Reference::None) {
-    if (node == dest) return dest;
-    const std::uint32_t here = distance(dest, node);
-    if (here == static_cast<std::uint32_t>(-1)) return kInvalidNode;
-    return canonical_descent_step(graph_, node,
-                                  [&](NodeId w) { return distance(dest, w); });
-  }
-  const auto lo = run_dest_lo_.begin() + static_cast<std::ptrdiff_t>(run_offsets_[node]);
-  const auto hi = run_dest_lo_.begin() + static_cast<std::ptrdiff_t>(run_offsets_[node + 1]);
-  const auto it = std::upper_bound(lo, hi, dest) - 1;  // last run starting <= dest
-  return run_hop_[static_cast<std::size_t>(it - run_dest_lo_.begin())];
+  if (node == dest) return dest;
+  const std::uint32_t here = distance(dest, node);
+  if (here == static_cast<std::uint32_t>(-1)) return kInvalidNode;
+  return canonical_descent_step(graph_, node, [&](NodeId w) { return distance(dest, w); });
 }
 
 std::size_t CompressedRouter::memory_bytes() const {
-  std::size_t bytes = 0;
-  if (reference_ != Reference::None) {
-    bytes += exception_offsets_.size() * sizeof(std::size_t) +
-             exception_dest_.size() * sizeof(NodeId) +
-             exception_dist_.size() * sizeof(std::uint32_t);
-    // The retained CSR: offsets + both half-edge arrays.
-    bytes += (graph_.num_nodes() + 1) * sizeof(std::size_t) +
-             graph_.num_edges() * 2 * sizeof(NodeId);
-  }
-  bytes += run_offsets_.size() * sizeof(std::size_t) +
-           run_dest_lo_.size() * sizeof(NodeId) + run_hop_.size() * sizeof(NodeId);
-  return bytes;
+  // The exception CSR plus the retained graph CSR (offsets + both half-edge
+  // arrays).
+  return exception_offsets_.size() * sizeof(std::size_t) +
+         exception_dest_.size() * sizeof(NodeId) +
+         exception_dist_.size() * sizeof(std::uint32_t) +
+         (graph_.num_nodes() + 1) * sizeof(std::size_t) +
+         graph_.num_edges() * 2 * sizeof(NodeId);
 }
 
 // --- CompressedRouter incremental maintenance --------------------------------
@@ -612,7 +516,6 @@ void CompressedRouter::reference_neighbors(NodeId x, std::vector<NodeId>& out) c
 CompressedRouter::Stats CompressedRouter::stats() const {
   Stats s;
   s.exception_entries = exception_dest_.size();
-  s.run_entries = run_dest_lo_.size();
   s.bytes = memory_bytes();
   switch (reference_) {
     case Reference::DeBruijn:
@@ -623,9 +526,6 @@ CompressedRouter::Stats CompressedRouter::stats() const {
     case Reference::ShuffleExchange:
       s.reference = "shuffle_exchange";
       s.reference_digits = se_h_;
-      break;
-    case Reference::None:
-      s.reference = "none";
       break;
   }
   s.tracked_faults = faulty_.size();
@@ -644,9 +544,6 @@ CompressedRouter::Stats CompressedRouter::stats() const {
   for (const std::size_t o : exception_offsets_) mix(o);
   for (const NodeId d : exception_dest_) mix(d);
   for (const std::uint32_t d : exception_dist_) mix(d);
-  for (const std::size_t o : run_offsets_) mix(o);
-  for (const NodeId d : run_dest_lo_) mix(d);
-  for (const NodeId hop : run_hop_) mix(hop);
   s.state_hash = h;
   return s;
 }
@@ -716,10 +613,6 @@ void CompressedRouter::merge_deltas(const std::vector<DistDelta>& deltas) {
 }
 
 void CompressedRouter::apply_fault(NodeId v) {
-  if (reference_ == Reference::None) {
-    throw std::logic_error(
-        "CompressedRouter::apply_fault: run-length mode has no reference shape to patch");
-  }
   if (v >= n_) throw std::invalid_argument("CompressedRouter::apply_fault: node out of range");
   if (std::binary_search(faulty_.begin(), faulty_.end(), v)) {
     throw std::invalid_argument("CompressedRouter::apply_fault: node already retired");
@@ -921,10 +814,6 @@ std::vector<CompressedRouter::DistDelta> CompressedRouter::fault_deltas(const Op
 }
 
 void CompressedRouter::retract_fault(NodeId v) {
-  if (reference_ == Reference::None) {
-    throw std::logic_error(
-        "CompressedRouter::retract_fault: run-length mode has no reference shape to patch");
-  }
   const auto it = std::lower_bound(faulty_.begin(), faulty_.end(), v);
   if (it == faulty_.end() || *it != v) {
     throw std::invalid_argument("CompressedRouter::retract_fault: node is not retired");
@@ -1395,39 +1284,15 @@ std::vector<NodeId> ImplicitRouter::path(NodeId from, NodeId dest) const {
 
 // --- construction ------------------------------------------------------------
 
-std::unique_ptr<Router> make_router(const Graph& g, const RouterOptions& options) {
-  using Backend = RouterOptions::Backend;
-  if (options.backend == Backend::Auto || options.backend == Backend::Implicit) {
-    // Size-aware policy (Auto only): below the threshold the N^2 slab is
-    // cheap and its O(1) lookup beats the O(h^2) label algebra — the implicit
-    // backend's on a shaped graph, the compressed backend's reference algebra
-    // on a graph inside a shape (a degraded machine) — so small machines of
-    // either kind get the table. The canonical hops are identical either way.
-    // A forced Backend::Implicit skips the size check.
-    const bool prefer_table = options.backend == Backend::Auto &&
-                              options.implicit_min_nodes != 0 &&
-                              g.num_nodes() < options.implicit_min_nodes;
-    if (const auto db = debruijn_shape_of(g)) {
-      if (prefer_table) return std::make_unique<TableRouter>(g, options.build_threads);
-      return std::make_unique<ImplicitRouter>(ImplicitRouter::for_debruijn(*db));
-    }
-    if (const auto se_h = shuffle_exchange_shape_of(g)) {
-      if (prefer_table) return std::make_unique<TableRouter>(g, options.build_threads);
-      return std::make_unique<ImplicitRouter>(ImplicitRouter::for_shuffle_exchange(*se_h));
-    }
-    if (options.backend == Backend::Implicit) {
-      throw std::invalid_argument(
-          "make_router: graph is neither de Bruijn- nor shuffle-exchange-shaped");
-    }
-    if (prefer_table && find_reference_shape(g).found()) {
-      return std::make_unique<TableRouter>(g, options.build_threads);
-    }
+std::unique_ptr<Router> make_router(const Graph& g) {
+  if (g.num_nodes() < kAlgebraMinNodes) return std::make_unique<TableRouter>(g);
+  const ReferenceShape shape = find_reference_shape(g);
+  if (!shape.found()) return std::make_unique<TableRouter>(g);
+  if (!shape.equal) return std::make_unique<CompressedRouter>(g);
+  if (shape.debruijn) {
+    return std::make_unique<ImplicitRouter>(ImplicitRouter::for_debruijn(*shape.debruijn));
   }
-  if (options.backend == Backend::Compressed ||
-      (options.backend == Backend::Auto && g.max_degree() <= options.compressed_max_degree)) {
-    return std::make_unique<CompressedRouter>(g, options.build_threads);
-  }
-  return std::make_unique<TableRouter>(g, options.build_threads);
+  return std::make_unique<ImplicitRouter>(ImplicitRouter::for_shuffle_exchange(shape.se_h));
 }
 
 }  // namespace ftdb::sim

@@ -1,12 +1,13 @@
 // Unified routing engine for the simulated machines.
 //
 // Every consumer of next-hop routing (the packet engine, reconfigured-machine
-// routing, the campaign stretch metric, the routing benches) talks to one
-// `Router` interface, behind which three interchangeable backends implement
-// the *same* canonical policy — shortest paths stepped through the lowest-id
-// closer neighbor (graph/algorithms.hpp:canonical_descent_step). Because the
-// policy is shared, the backends are hop-for-hop identical wherever they are
-// all applicable, and differ only in cost:
+// routing, the campaign stretch metric, the serving layer, the routing
+// benches) talks to one `Router` interface, behind which three
+// interchangeable backends implement the *same* canonical policy — shortest
+// paths stepped through the lowest-id closer neighbor
+// (graph/algorithms.hpp:canonical_descent_step). Because the policy is
+// shared, the backends are hop-for-hop identical wherever they are all
+// applicable, and differ only in cost:
 //
 //  * ImplicitRouter   — O(1) memory, O(h^2) next-hop. Pure label algebra for
 //                       de Bruijn B_{m,h} and shuffle-exchange SE_h shapes
@@ -19,29 +20,25 @@
 //                       reconfiguration unchanged. This is what lets traffic
 //                       simulation and campaign sweeps run at N = 2^18..2^20,
 //                       where a table slab would be gigabytes.
-//  * CompressedRouter — destination-class sharing via shape-delta encoding.
-//                       When the graph sits inside a de Bruijn /
-//                       shuffle-exchange reference shape (every adjacency a
-//                       subset of the algebraic one — the degraded-machine
-//                       case), all destinations share the reference algebra
-//                       and only the (dest, node) pairs whose exact BFS
-//                       distance deviates from it are stored: O(N + E +
-//                       exceptions) memory, with exceptions measured at a few
-//                       * f * h per node for f faults (0 on a healthy shape).
-//                       With no reference shape the full canonical next-hop
-//                       matrix is kept, run-length encoded per node over
-//                       destination id. Exact on any graph either way.
-//  * TableRouter      — O(N^2) memory, O(1) next-hop. The uint16-slab BFS
-//                       table of sim/routing.hpp, kept as the general
-//                       fallback and the oracle the others are tested
-//                       against.
+//  * CompressedRouter — shape-delta encoding for a graph that sits inside a
+//                       de Bruijn / shuffle-exchange reference shape (every
+//                       adjacency a subset of the algebraic one — the
+//                       degraded-machine case): all destinations share the
+//                       reference algebra and only the (dest, node) pairs
+//                       whose exact BFS distance deviates from it are stored.
+//                       O(N + E + exceptions) memory, with exceptions measured
+//                       at a few * f * h per node for f faults (0 on a healthy
+//                       shape), and incremental fault/repair patching.
+//  * TableRouter      — O(N^2) memory, O(1) next-hop. A per-destination BFS
+//                       slab over any graph, the general fallback and the
+//                       oracle the others are tested against.
 //
-// make_router() picks automatically. Below RouterOptions::implicit_min_nodes
-// (2^12) a graph that is, or sits inside, a de Bruijn / shuffle-exchange
-// shape — a healthy or a degraded machine — gets the table: the slab is cheap
-// there and its O(1) lookup beats either backend's label algebra. At or above
-// it, implicit when the graph *is* such a shape (shape detection is O(N * m)).
-// Otherwise compressed when the degree stays constant-ish, table when not.
+// make_router() is a fixed policy with no options. Below kAlgebraMinNodes
+// (2^12) every graph gets the table: the slab is cheap there and its O(1)
+// lookup beats either backend's label algebra. At or above it, a graph equal
+// to its de Bruijn / shuffle-exchange shape gets the implicit router, a
+// proper subgraph of one (a degraded machine) the compressed router, and
+// anything else the table.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +47,6 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "sim/routing.hpp"
 #include "topology/debruijn.hpp"
 
 namespace ftdb::sim {
@@ -130,44 +126,53 @@ class Router {
   virtual std::vector<NodeId> path(NodeId from, NodeId dest) const;
 };
 
-/// The uint16-slab BFS table (general fallback and test oracle).
+/// Dense next-hop tables: next_hop(dest, node) is the canonical hop (the
+/// lowest-id neighbor of `node` one step closer to `dest`), or kInvalidNode
+/// when unreachable. Memory is N^2; intended for N up to a few thousand.
+/// Distances live in a uint16 slab (half the N^2 footprint of the next-hop
+/// table): hop counts on these machines are tiny, and the constructor throws
+/// std::length_error if a graph ever exceeds 65534 hops rather than wrapping.
 class TableRouter final : public Router {
  public:
-  /// `build_threads` shards the per-destination BFS table build (see
-  /// RoutingTable); the resulting table is bit-identical to a serial build.
-  explicit TableRouter(const Graph& g, unsigned build_threads = 1)
-      : table_(g, build_threads) {}
+  explicit TableRouter(const Graph& g);
 
   RouterBackend backend() const override { return RouterBackend::Table; }
-  std::size_t num_nodes() const override { return table_.num_nodes(); }
-  NodeId next_hop(NodeId dest, NodeId node) const override { return table_.next_hop(dest, node); }
+  std::size_t num_nodes() const override { return n_; }
+  NodeId next_hop(NodeId dest, NodeId node) const override { return table_[index(dest, node)]; }
+  /// Hop count, or uint32(-1) when unreachable (the sentinel is widened from
+  /// the internal uint16).
   std::uint32_t distance(NodeId dest, NodeId node) const override {
-    return table_.distance(dest, node);
+    const std::uint16_t d = dist_[index(dest, node)];
+    return d == kNoPath ? static_cast<std::uint32_t>(-1) : d;
   }
-  bool reachable(NodeId dest, NodeId node) const override { return table_.reachable(dest, node); }
+  bool reachable(NodeId dest, NodeId node) const override {
+    return dist_[index(dest, node)] != kNoPath;
+  }
   std::size_t memory_bytes() const override {
-    return table_.num_nodes() * table_.num_nodes() * (sizeof(NodeId) + sizeof(std::uint16_t));
+    return n_ * n_ * (sizeof(NodeId) + sizeof(std::uint16_t));
   }
-
-  const RoutingTable& table() const { return table_; }
 
  private:
-  RoutingTable table_;
+  static constexpr std::uint16_t kNoPath = 0xffff;
+
+  std::size_t index(NodeId dest, NodeId node) const {
+    return static_cast<std::size_t>(dest) * n_ + node;
+  }
+
+  std::size_t n_;
+  std::vector<NodeId> table_;
+  std::vector<std::uint16_t> dist_;
 };
 
-/// Exact canonical routing with destination-class sharing. Two internal
-/// strategies, chosen at build time:
+/// Exact canonical routing with destination-class sharing by shape-delta
+/// encoding: the graph's adjacencies are all subsets of a reference B_{m,h} /
+/// SE_h (h >= 2) on the same node count. Every destination shares the
+/// reference's algebraic distance; only the pairs whose exact BFS distance
+/// deviates (fault detours, unreachable rows) are stored in a per-node
+/// exception table. Correctness never depends on the reference — exceptions
+/// record the exact value wherever the algebra is wrong.
 ///
-///  * shape-delta — the graph's adjacencies are all subsets of a reference
-///    B_{m,h} / SE_h (h >= 2) on the same node count. Every destination
-///    shares the reference's algebraic distance; only the pairs whose exact
-///    BFS distance deviates (fault detours, unreachable rows) are stored in a
-///    per-node exception table. Correctness never depends on the reference —
-///    exceptions record the exact value wherever the algebra is wrong.
-///  * run-length — no reference shape: the canonical next-hop matrix is kept,
-///    run-length encoded per node over destination id.
-///
-/// Shape-delta routers additionally support *incremental* maintenance for the
+/// The router also supports *incremental* maintenance for the
 /// degraded-machine lifecycle (reference shape minus a set of failed nodes):
 /// `apply_fault` / `retract_fault` patch the exception table in place by
 /// recomputing only the (dest, node) pairs whose exact distance actually
@@ -177,42 +182,33 @@ class TableRouter final : public Router {
 /// graph — which is what the serving layer's equivalence oracle asserts.
 class CompressedRouter final : public Router {
  public:
-  /// `build_threads` destination-shards the per-destination BFS scans of the
-  /// build (0 = hardware concurrency). Both modes produce storage
-  /// bit-identical to a serial build: shape-delta chunks concatenate in
-  /// destination order, and run-length chunks stitch by dropping each chunk's
-  /// boundary runs that merely continue the previous chunk's final hop. A
+  /// Throws std::invalid_argument when `g` sits inside no reference shape. A
   /// graph that *equals* its reference shape (a healthy machine) skips the
-  /// scans: it has no exceptions by definition.
-  explicit CompressedRouter(const Graph& g, unsigned build_threads = 1);
+  /// per-destination BFS scans: it has no exceptions by definition.
+  explicit CompressedRouter(const Graph& g);
 
   RouterBackend backend() const override { return RouterBackend::Compressed; }
   std::size_t num_nodes() const override { return n_; }
   NodeId next_hop(NodeId dest, NodeId node) const override;
-  /// Shape-delta: O(log exceptions) lookup. Run-length: walks the canonical
-  /// path (exact because every canonical hop strictly decreases the true
-  /// distance).
+  /// O(log exceptions) lookup, else the reference algebra.
   std::uint32_t distance(NodeId dest, NodeId node) const override;
   bool reachable(NodeId dest, NodeId node) const override {
     return distance(dest, node) != static_cast<std::uint32_t>(-1);
   }
   std::size_t memory_bytes() const override;
 
-  bool uses_reference_shape() const { return reference_ != Reference::None; }
   std::size_t num_exceptions() const { return exception_dest_.size(); }
-  std::size_t num_runs() const { return run_dest_lo_.size(); }
 
   /// Observable size/shape facts, so the serving layer and the benches can
   /// assert the ~f*h per-node exception-growth bound instead of guessing.
   struct Stats {
-    std::size_t exception_entries = 0;  // shape-delta (node, dest) pairs stored
-    std::size_t run_entries = 0;        // run-length mode runs
+    std::size_t exception_entries = 0;  // (node, dest) pairs stored
     std::size_t bytes = 0;              // == memory_bytes()
-    const char* reference = "none";     // "debruijn" | "shuffle_exchange" | "none"
-    std::uint64_t reference_base = 0;   // m of the reference B_{m,h} (0 for SE/none)
+    const char* reference = "";         // "debruijn" | "shuffle_exchange"
+    std::uint64_t reference_base = 0;   // m of the reference B_{m,h} (0 for SE)
     unsigned reference_digits = 0;      // h of the reference shape
     std::size_t tracked_faults = 0;     // faults applied through apply_fault
-    std::uint64_t state_hash = 0;       // FNV-1a over the exception/run arrays
+    std::uint64_t state_hash = 0;       // FNV-1a over the exception table
     /// Reference-algebra evaluations (stepper probes and scans, one per
     /// (dest, node) pair) done by the last apply_fault / retract_fault; 0
     /// before the first patch. Work accounting only: not in state_hash.
@@ -222,9 +218,8 @@ class CompressedRouter final : public Router {
 
   /// Incrementally retires node `v`: removes its edges from the routed graph
   /// and patches the exception table so the router is exactly the router of
-  /// the degraded graph. Shape-delta mode only (throws std::logic_error in
-  /// run-length mode); throws std::invalid_argument when `v` is out of range
-  /// or already retired.
+  /// the degraded graph. Throws std::invalid_argument when `v` is out of
+  /// range or already retired.
   ///
   /// Every old distance is the stored exception, else the reference
   /// distance. The exception table is read through a per-node cursor that
@@ -266,7 +261,7 @@ class CompressedRouter final : public Router {
   const std::vector<NodeId>& tracked_faults() const { return faulty_; }
 
  private:
-  enum class Reference { None, DeBruijn, ShuffleExchange };
+  enum class Reference { DeBruijn, ShuffleExchange };
 
   /// DistDelta::dist for a pair whose new distance equals the reference
   /// algebra's: the merge erases its entry. (No real distance reaches it: it
@@ -282,7 +277,7 @@ class CompressedRouter final : public Router {
   std::uint32_t reference_distance(NodeId dest, NodeId node) const;
   void reference_neighbors(NodeId x, std::vector<NodeId>& out) const;
   template <class Ops>
-  void build_shape_delta(const Ops& ops, const Graph& g, unsigned threads);
+  void build_shape_delta(const Ops& ops, const Graph& g);
   /// The patch loops: every changed (node, dest) pair, destination-major.
   /// repair_deltas also restores v's edges in graph_ first.
   template <class Ops>
@@ -293,23 +288,18 @@ class CompressedRouter final : public Router {
   void rebuild_graph(NodeId v, const std::vector<NodeId>& add_neighbors, bool removing);
 
   std::size_t n_ = 0;
-  Reference reference_ = Reference::None;
+  Reference reference_ = Reference::DeBruijn;
   DeBruijnParams db_{};
   unsigned se_h_ = 0;
 
-  // shape-delta storage: the graph (for the canonical descent) plus the
-  // per-node exception CSR, sorted by destination.
+  // The graph (for the canonical descent) plus the per-node exception CSR,
+  // sorted by destination.
   Graph graph_;
   std::vector<NodeId> faulty_;  // nodes retired via apply_fault, sorted
   std::uint64_t patch_evaluations_ = 0;  // see Stats::patch_evaluations
   std::vector<std::size_t> exception_offsets_;
   std::vector<NodeId> exception_dest_;
   std::vector<std::uint32_t> exception_dist_;
-
-  // run-length storage.
-  std::vector<std::size_t> run_offsets_;  // per node, into the run arrays
-  std::vector<NodeId> run_dest_lo_;       // first destination id of the run
-  std::vector<NodeId> run_hop_;           // canonical next hop for the run
 };
 
 /// O(1)-memory algebraic routing for de Bruijn / shuffle-exchange shapes:
@@ -363,37 +353,15 @@ class ImplicitRouter final : public Router {
   std::uint32_t cache_id_ = 0;  // memo-cache epoch stamp, unique per router
 };
 
-struct RouterOptions {
-  enum class Backend { Auto, Table, Compressed, Implicit };
-  Backend backend = Backend::Auto;
-  /// Auto prefers the compressed backend over the table when the graph's max
-  /// degree stays within this bound (the constant-degree regime where the
-  /// run-length encoding provably has something to share).
-  std::size_t compressed_max_degree = 16;
-  /// Size-aware auto policy: the O(h^2) label algebra of the implicit backend
-  /// (on a shaped graph) and of the compressed backend's reference shape (on
-  /// a graph inside one, e.g. a degraded machine) only pays off where the
-  /// table slab would hurt. So below this node count Auto picks the table
-  /// (60 ns lookups, identical canonical hops) for any graph that is or sits
-  /// inside a de Bruijn / shuffle-exchange shape; at or above it, the
-  /// O(1)-memory algebra for shaped graphs and the degree rule for the rest.
-  /// 0 restores shape-implies-implicit and the degree rule everywhere.
-  /// Graphs with no reference shape (e.g. FT fabrics) never take this path.
-  /// Forcing a backend bypasses the policy entirely.
-  std::size_t implicit_min_nodes = std::size_t{1} << 12;
-  /// Threads for the compressed/table build's destination-sharded BFS scans
-  /// (0 = hardware concurrency). The built router is bit-identical for any
-  /// value; 1 keeps construction inline (no thread spawn) — the right default
-  /// inside already-parallel campaign workers.
-  unsigned build_threads = 1;
-};
+/// Node count from which make_router() routes a de Bruijn / shuffle-exchange
+/// graph by its label algebra instead of the table (whose slab is 96 MiB at
+/// 2^12 nodes).
+inline constexpr std::size_t kAlgebraMinNodes = std::size_t{1} << 12;
 
-/// Builds the right router for `g`. Auto order: for a recognized B_{m,h} /
-/// SE_h shape, implicit at or above options.implicit_min_nodes and the table
-/// below it (same canonical hops, O(1) lookups, affordable slab); for a graph
-/// inside such a shape, the table below the threshold; otherwise compressed
-/// (constant-ish degree), else table. Forcing Backend::Implicit on
-/// a graph of neither shape throws std::invalid_argument.
-std::unique_ptr<Router> make_router(const Graph& g, const RouterOptions& options = {});
+/// Builds the router the fixed policy picks for `g`: the table below
+/// kAlgebraMinNodes; at or above it, the implicit router for a graph equal to
+/// its B_{m,h} / SE_h shape, the compressed router for a proper subgraph of
+/// one, and the table for anything else.
+std::unique_ptr<Router> make_router(const Graph& g);
 
 }  // namespace ftdb::sim

@@ -490,7 +490,7 @@ ScheduleRunResult execute_schedule(const Machine& machine, const Graph& target,
                                    const Schedule& schedule,
                                    const std::vector<NodeId>& rank_to_logical,
                                    const ScheduleRunOptions& options) {
-  PacketSimulator sim(machine, target, options.router);
+  PacketSimulator sim(machine, target);
   return execute_schedule(sim, schedule, rank_to_logical, options.max_cycles_per_step);
 }
 

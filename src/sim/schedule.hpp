@@ -114,7 +114,6 @@ void verify_schedule_functional(const Schedule& schedule);
 // --- Operational execution (packet engine layer) ----------------------------
 
 struct ScheduleRunOptions {
-  RouterOptions router;
   /// Per-step cycle budget handed to PacketSimulator::run (0 = run to drain;
   /// this still terminates unconditionally because reachability is checked at
   /// injection, so a disconnected degraded machine reports undeliverable

@@ -1533,8 +1533,8 @@ bool same_stats(const StreamingStats& a, const StreamingStats& b) {
 /// Replays every trial of a one-cell, one-block campaign with traffic and
 /// stretch on. For each trial whose reconfigured machine runs as the healthy
 /// one, the healthy simulator's traffic stats and the stretch audit over its
-/// router must equal run_packets and max_route_stretch* on the trial's own
-/// machine. The cell's traffic and stretch columns, folded here from the
+/// router must equal run_packets and the stretch audit over the trial's own
+/// machine's logical router. The cell's traffic and stretch columns, folded here from the
 /// own-machine values, must equal what run_campaign reports.
 void replay_presented_trials(TopologyFamily family, std::uint64_t stretch_pairs) {
   ScenarioSpec spec;
@@ -1584,11 +1584,9 @@ void replay_presented_trials(TopologyFamily family, std::uint64_t stretch_pairs)
         const NodeId d = static_cast<NodeId>(rng.next_u64() % n);
         if (s != d) pairs.emplace_back(s, d);
       }
-      const double own =
-          stretch_pairs == 0
-              ? (se ? sim::max_route_stretch_se(*machine, h) : sim::max_route_stretch(*machine, 2, h))
-              : (se ? sim::max_route_stretch_se_sampled(*machine, h, pairs)
-                    : sim::max_route_stretch_sampled(*machine, 2, h, pairs));
+      const double own = sim::max_route_stretch_with_router(
+          *machine, *sim::machine_logical_router(*machine, target),
+          stretch_pairs == 0 ? nullptr : &pairs);
       want.route_stretch.add(own);
       if (sim::runs_as_target(*machine, machine->presents(target), target)) {
         ++presented;
@@ -1603,7 +1601,7 @@ void replay_presented_trials(TopologyFamily family, std::uint64_t stretch_pairs)
     const std::vector<sim::Packet> traffic = sim::zipf_traffic(n, packets, 1.0, rng.next_u64());
     std::optional<sim::SimStats> stats;
     if (success) {
-      stats = sim::run_packets(*machine, target, traffic, {.max_cycles = max_cycles, .router = {}});
+      stats = sim::run_packets(*machine, target, traffic, {.max_cycles = max_cycles});
       if (sim::runs_as_target(*machine, machine->presents(target), target)) {
         const sim::SimStats reused = healthy_sim.run(traffic, max_cycles);
         EXPECT_EQ(reused.injected, stats->injected) << "trial " << t;
@@ -1625,7 +1623,7 @@ void replay_presented_trials(TopologyFamily family, std::uint64_t stretch_pairs)
         const sim::Machine degraded =
             sim::Machine::direct_with_faults(target, FaultSet(n, std::move(hit)));
         stats = sim::run_packets(degraded, target, traffic,
-                                 {.max_cycles = max_cycles, .router = {}});
+                                 {.max_cycles = max_cycles});
       }
     }
     if (stats) {

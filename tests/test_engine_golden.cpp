@@ -160,7 +160,7 @@ TEST(EngineGolden, LongBacklogOnTheSinkLinks) {
   const Machine healthy = Machine::direct(target);
   const Machine degraded = Machine::direct_with_faults(target, FaultSet(16, {8}));
   expect_pins({pin(run_packets(healthy, target, flood)),
-               pin(run_packets(degraded, target, flood, {.max_cycles = 700, .router = {}}))},
+               pin(run_packets(degraded, target, flood, {.max_cycles = 700}))},
               {"inj=2400 del=2400 und=0 tmo=0 cyc=1600 lat=1362400 max=1401 hops=6400 q=800",
                "inj=2400 del=700 und=160 tmo=1540 cyc=700 lat=214143 max=659 hops=1844 q=860"});
 }

@@ -3,6 +3,8 @@
 // figure 6k+4; our derived edge set stays within 5k+5).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "ft/ft_debruijn.hpp"
 #include "ft/ft_shuffle_exchange.hpp"
 #include "ft/tolerance.hpp"
@@ -18,6 +20,26 @@ TEST(FindSeInDeBruijn, FindsAndCachesEmbedding) {
   auto second = find_se_in_debruijn(4);
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(*first, *second);  // cached result is reused
+}
+
+TEST(FindSeInDeBruijn, FirstEmbeddingIsPinned) {
+  // The search is deterministic, so the first embedding it returns is fixed:
+  // an FNV-1a hash of sigma per h pins it against any change to the search
+  // order.
+  const std::uint64_t expected[] = {0x21e502c2ffdb68a3ull, 0x80deaea5ce352c43ull,
+                                    0x49bc22d8f5377503ull, 0x821207dffc085683ull};
+  for (unsigned h = 3; h <= 6; ++h) {
+    const auto sigma = find_se_in_debruijn(h);
+    ASSERT_TRUE(sigma.has_value()) << "h=" << h;
+    std::uint64_t hash = 1469598103934665603ull;
+    for (const NodeId v : *sigma) {
+      for (int i = 0; i < 8; ++i) {
+        hash ^= (static_cast<std::uint64_t>(v) >> (8 * i)) & 0xff;
+        hash *= 1099511628211ull;
+      }
+    }
+    EXPECT_EQ(hash, expected[h - 3]) << "h=" << h;
+  }
 }
 
 TEST(ViaDeBruijn, FtGraphIsFtDeBruijn) {

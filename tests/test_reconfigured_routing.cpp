@@ -20,6 +20,13 @@ Machine make_reconfigured(unsigned h, unsigned k, const std::vector<NodeId>& fau
   return Machine::reconfigured(ft, FaultSet(ft.num_nodes(), faults), std::size_t{1} << h);
 }
 
+/// The stretch audit of a machine carrying `target`, over its own logical
+/// router: every pair, or only `pairs` when given.
+double audit_stretch(const Machine& m, const Graph& target,
+                     const std::vector<std::pair<NodeId, NodeId>>* pairs = nullptr) {
+  return max_route_stretch_with_router(m, *machine_logical_router(m, target), pairs);
+}
+
 TEST(PhysicalRoute, TranslatesThroughEmbedding) {
   const Machine m = make_reconfigured(3, 1, {2});
   // Logical nodes 2.. shift up by one physical slot.
@@ -90,14 +97,14 @@ TEST(MaxRouteStretch, HealthyMachineIsExactlyOne) {
   // shorter — stretch is bounded by h / 1 but the *average* case matters;
   // here we only pin that the function runs and is >= 1.
   const Machine m = make_reconfigured(4, 2, {});
-  const double stretch = max_route_stretch(m, 2, 4);
+  const double stretch = audit_stretch(m, debruijn_base2(4));
   EXPECT_GE(stretch, 1.0);
   EXPECT_LE(stretch, 4.0);  // logical routes never exceed h hops
 }
 
 TEST(MaxRouteStretch, BoundedAfterFaults) {
   const Machine m = make_reconfigured(4, 2, {5, 11});
-  const double stretch = max_route_stretch(m, 2, 4);
+  const double stretch = audit_stretch(m, debruijn_base2(4));
   // The FT graph is denser than the target, so physical shortest paths can
   // be shorter than logical routes — but never by more than a factor h.
   EXPECT_GE(stretch, 1.0);
@@ -112,12 +119,13 @@ TEST(MaxRouteStretch, SampledOverAllPairsEqualsTheFullAudit) {
       if (s != d) all_pairs.emplace_back(s, d);
     }
   }
-  EXPECT_DOUBLE_EQ(max_route_stretch_sampled(m, 2, 4, all_pairs), max_route_stretch(m, 2, 4));
+  EXPECT_DOUBLE_EQ(max_route_stretch_sampled(m, 2, 4, all_pairs),
+                   audit_stretch(m, debruijn_base2(4)));
 }
 
 TEST(MaxRouteStretch, SampledSubsetNeverExceedsTheFullAuditAndIgnoresSelfPairs) {
   const Machine m = make_reconfigured(4, 2, {2, 9});
-  const double full = max_route_stretch(m, 2, 4);
+  const double full = audit_stretch(m, debruijn_base2(4));
   const std::vector<std::pair<NodeId, NodeId>> subset{{0, 15}, {3, 3}, {7, 12}, {15, 1}, {4, 8}};
   const double sampled = max_route_stretch_sampled(m, 2, 4, subset);
   EXPECT_GE(sampled, 1.0);
@@ -168,7 +176,7 @@ TEST(MaxRouteStretchSe, HopExactAgainstDoubleBfsOracle) {
   for (int trial = 0; trial < 8; ++trial) {
     const FaultSet faults = FaultSet::random(se.ft_graph.num_nodes(), k, rng);
     const Machine m = Machine::reconfigured(se.ft_graph, faults, std::size_t{1} << h);
-    EXPECT_DOUBLE_EQ(max_route_stretch_se(m, h),
+    EXPECT_DOUBLE_EQ(audit_stretch(m, shuffle_exchange_graph(h)),
                      stretch_oracle(m, shuffle_exchange_graph(h)))
         << "trial=" << trial;
   }
@@ -186,8 +194,10 @@ TEST(MaxRouteStretchSe, SampledOverAllPairsEqualsTheFullAudit) {
       if (s != d) all_pairs.emplace_back(s, d);
     }
   }
-  EXPECT_DOUBLE_EQ(max_route_stretch_se_sampled(m, h, all_pairs), max_route_stretch_se(m, h));
-  EXPECT_DOUBLE_EQ(max_route_stretch_se_sampled(m, h, {}), 1.0);
+  const Graph target = shuffle_exchange_graph(h);
+  EXPECT_DOUBLE_EQ(audit_stretch(m, target, &all_pairs), audit_stretch(m, target));
+  const std::vector<std::pair<NodeId, NodeId>> none;
+  EXPECT_DOUBLE_EQ(audit_stretch(m, target, &none), 1.0);
 }
 
 TEST(MaxRouteStretchDeBruijn, HopExactAgainstDoubleBfsOracle) {
@@ -198,27 +208,21 @@ TEST(MaxRouteStretchDeBruijn, HopExactAgainstDoubleBfsOracle) {
   for (int trial = 0; trial < 4; ++trial) {
     const FaultSet faults = FaultSet::random(ft.num_nodes(), 2, rng);
     const Machine m = Machine::reconfigured(ft, faults, 16);
-    EXPECT_DOUBLE_EQ(max_route_stretch(m, 2, 4), stretch_oracle(m, debruijn_base2(4)))
+    EXPECT_DOUBLE_EQ(audit_stretch(m, debruijn_base2(4)), stretch_oracle(m, debruijn_base2(4)))
         << "trial=" << trial;
   }
 }
 
 TEST(MachineLogicalRouter, PicksImplicitExactlyWhenDilationOneSurvives) {
-  const Graph target = debruijn_base2(4);
-  // Size-aware auto policy disabled: the backend choice then tracks the
-  // machine's shape alone, which is what this test pins down. (With default
-  // options a 16-node machine gets the table — see MakeRouter's policy test.)
-  RouterOptions shape_only;
-  shape_only.implicit_min_nodes = 0;
-  // Reconfigured within budget: implicit.
-  const Machine ok = make_reconfigured(4, 2, {5, 11});
-  EXPECT_EQ(machine_logical_router(ok, target, shape_only)->backend(), RouterBackend::Implicit);
-  EXPECT_EQ(machine_logical_router(ok, target)->backend(), RouterBackend::Table);
-  // Degraded bare target: holes in the logical graph, fallback.
-  const Machine degraded =
-      Machine::direct_with_faults(debruijn_base2(4), FaultSet(16, {5, 11}));
-  EXPECT_NE(machine_logical_router(degraded, target, shape_only)->backend(),
-            RouterBackend::Implicit);
+  // At 2^12 nodes, where make_router() routes shaped graphs by their algebra.
+  const unsigned h = 12;
+  const Graph target = debruijn_base2(h);
+  // Reconfigured within budget: the live graph is the intact target.
+  const Machine ok = make_reconfigured(h, 2, {5, 11});
+  EXPECT_EQ(machine_logical_router(ok, target)->backend(), RouterBackend::Implicit);
+  // Degraded bare target: holes in the logical graph, the shape-delta fallback.
+  const Machine degraded = Machine::direct_with_faults(target, FaultSet(1u << h, {5, 11}));
+  EXPECT_EQ(machine_logical_router(degraded, target)->backend(), RouterBackend::Compressed);
 }
 
 }  // namespace

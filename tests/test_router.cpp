@@ -1,11 +1,11 @@
-// Router equivalence: the three backends (implicit algebra, run-length
-// compressed tables, BFS table slab) implement one canonical policy —
+// Router equivalence: the three backends (implicit algebra, shape-delta
+// compressed router, BFS table slab) implement one canonical policy —
 // shortest paths stepped through the lowest-id closer neighbor — so they must
 // be hop-for-hop identical wherever they all apply, and all must agree with a
 // plain BFS oracle. Covered: healthy B_{m,h} and SE_h over the (m,h) grid,
 // reconfigured machines (the dilation-1 case where the implicit backend keeps
-// working), degraded machines (the fallback case), shape detection /
-// auto-selection, and next-hop totality + termination.
+// working), degraded machines (the fallback case), shape detection, the
+// make_router policy, and next-hop totality + termination.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 #include <memory>
 #include <random>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -28,32 +29,28 @@
 namespace ftdb::sim {
 namespace {
 
-RouterOptions forced(RouterOptions::Backend backend) {
-  RouterOptions options;
-  options.backend = backend;
-  return options;
+/// The implicit router of a recognized B_{m,h} / SE_h shape — what
+/// make_router() picks for a graph equal to its shape from kAlgebraMinNodes
+/// up. Throws std::invalid_argument when `g` is neither shape.
+std::unique_ptr<Router> implicit_router_of(const Graph& g) {
+  if (const auto db = debruijn_shape_of(g)) {
+    return std::make_unique<ImplicitRouter>(ImplicitRouter::for_debruijn(*db));
+  }
+  if (const auto se_h = shuffle_exchange_shape_of(g)) {
+    return std::make_unique<ImplicitRouter>(ImplicitRouter::for_shuffle_exchange(*se_h));
+  }
+  throw std::invalid_argument("graph is neither de Bruijn- nor shuffle-exchange-shaped");
 }
 
-/// Auto selection with the size-aware table preference switched off — the
-/// historical shape-implies-implicit behavior, used where a test's subject is
-/// the shape detection itself (the grids here are all far below the 2^12
-/// policy threshold).
-RouterOptions auto_implicit() {
-  RouterOptions options;
-  options.implicit_min_nodes = 0;
-  return options;
-}
-
-/// The size-aware Auto policy on a degraded machine below implicit_min_nodes:
-/// the graph sits inside a reference shape, so Auto picks the table, which
+/// make_router() on a degraded machine below kAlgebraMinNodes: the graph
+/// sits inside a reference shape, and the policy picks the table, which
 /// answers every (dest, node) pair exactly as the compressed router sharing
 /// that shape's algebra.
 void expect_degraded_gets_table(const Graph& live, const std::string& context) {
-  ASSERT_LT(live.num_nodes(), RouterOptions{}.implicit_min_nodes) << context;
+  ASSERT_LT(live.num_nodes(), kAlgebraMinNodes) << context;
   const auto router = make_router(live);
   ASSERT_EQ(router->backend(), RouterBackend::Table) << context;
   const CompressedRouter compressed(live);
-  ASSERT_TRUE(compressed.uses_reference_shape()) << context;
   const std::size_t n = live.num_nodes();
   for (NodeId dest = 0; dest < n; ++dest) {
     for (NodeId node = 0; node < n; ++node) {
@@ -153,23 +150,24 @@ TEST_P(DeBruijnRouterGrid, HealthyBackendsMatchOracleHopForHop) {
   const auto [m, h] = GetParam();
   const Graph g = debruijn_graph({.base = m, .digits = h});
 
-  // Below the size-aware threshold Auto prefers the table; with the policy
-  // switched off the shape detection must still land on the implicit algebra.
+  // Below the size threshold make_router() picks the table; the shape
+  // detection must still recognize the graph as implicit-routable.
   ASSERT_EQ(make_router(g)->backend(), RouterBackend::Table)
-      << "small healthy B_{m,h} must auto-select the table";
-  const auto auto_router = make_router(g, auto_implicit());
-  ASSERT_EQ(auto_router->backend(), RouterBackend::Implicit)
-      << "healthy B_{m,h} must be recognized as implicit-routable";
-  EXPECT_EQ(auto_router->memory_bytes(), 0u);
+      << "small healthy B_{m,h} must get the table";
+  const auto shape = debruijn_shape_of(g);
+  ASSERT_TRUE(shape.has_value()) << "healthy B_{m,h} must be recognized as implicit-routable";
+  EXPECT_EQ(shape->base, m);
+  EXPECT_EQ(shape->digits, h);
+  const ImplicitRouter implicit = ImplicitRouter::for_debruijn(*shape);
+  EXPECT_EQ(implicit.memory_bytes(), 0u);
 
   const TableRouter table(g);
   const CompressedRouter compressed(g);
-  expect_equivalent(g, {&table, auto_router.get(), &compressed},
+  expect_equivalent(g, {&table, &implicit, &compressed},
                     "B(m=" + std::to_string(m) + ",h=" + std::to_string(h) + ")");
 
   // On a healthy shape the compressed backend rides the algebraic reference
   // with zero exceptions — O(N + E) memory, far under the N^2 slab.
-  EXPECT_TRUE(compressed.uses_reference_shape());
   EXPECT_EQ(compressed.num_exceptions(), 0u);
   if (g.num_nodes() >= 64) {
     EXPECT_LT(compressed.memory_bytes(), table.memory_bytes());
@@ -189,8 +187,7 @@ TEST_P(DeBruijnRouterGrid, ReconfiguredDilationOneKeepsImplicitRouting) {
     // logical graph is the intact target and the implicit backend applies.
     const Graph live = machine.live_logical_graph(target);
     ASSERT_TRUE(live.same_structure(target)) << "trial " << trial;
-    const auto router = machine_logical_router(machine, target, auto_implicit());
-    ASSERT_EQ(router->backend(), RouterBackend::Implicit) << "trial " << trial;
+    const auto router = implicit_router_of(live);
     const TableRouter table(live);
     expect_equivalent(live, {&table, router.get()},
                       "reconfigured B(m=" + std::to_string(m) + ",h=" + std::to_string(h) +
@@ -206,23 +203,18 @@ TEST_P(DeBruijnRouterGrid, DegradedMachineFallsBackAndStaysEquivalent) {
   const Machine machine = Machine::direct_with_faults(target, faults);
   const Graph live = machine.live_logical_graph(target);
 
-  const auto router = machine_logical_router(machine, target, auto_implicit());
-  ASSERT_NE(router->backend(), RouterBackend::Implicit)
-      << "dead nodes break the algebraic shape; auto must fall back";
-  EXPECT_EQ(router->backend(), RouterBackend::Compressed)
-      << "constant-degree fallback is the compressed table";
-  // The degraded machine is still a subgraph of its shape, so the compressed
-  // backend shares the algebra and stores only the fault detours.
-  const auto* compressed = dynamic_cast<const CompressedRouter*>(router.get());
-  ASSERT_NE(compressed, nullptr);
-  EXPECT_TRUE(compressed->uses_reference_shape());
-  EXPECT_GT(compressed->num_exceptions(), 0u);  // dead rows at minimum
+  // Dead nodes break the algebraic shape, but the degraded machine is still a
+  // subgraph of it, so the compressed backend shares the algebra and stores
+  // only the fault detours.
+  EXPECT_FALSE(debruijn_shape_of(live).has_value());
+  const CompressedRouter compressed(live);
+  EXPECT_GT(compressed.num_exceptions(), 0u);  // dead rows at minimum
   if (live.num_nodes() >= 64) {
     // Sparse at scale: the detours around 2 faults are a sliver of N^2.
-    EXPECT_LT(compressed->num_exceptions(), live.num_nodes() * live.num_nodes() / 4);
+    EXPECT_LT(compressed.num_exceptions(), live.num_nodes() * live.num_nodes() / 4);
   }
   const TableRouter table(live);
-  expect_equivalent(live, {&table, router.get()},
+  expect_equivalent(live, {&table, &compressed},
                     "degraded B(m=" + std::to_string(m) + ",h=" + std::to_string(h) + ")");
 }
 
@@ -256,11 +248,11 @@ TEST_P(SeRouterGrid, HealthyBackendsMatchOracleHopForHop) {
   const unsigned h = GetParam();
   const Graph g = shuffle_exchange_graph(h);
   ASSERT_EQ(make_router(g)->backend(), RouterBackend::Table);
-  const auto auto_router = make_router(g, auto_implicit());
-  ASSERT_EQ(auto_router->backend(), RouterBackend::Implicit);
+  ASSERT_EQ(shuffle_exchange_shape_of(g), h);
+  const ImplicitRouter implicit = ImplicitRouter::for_shuffle_exchange(h);
   const TableRouter table(g);
   const CompressedRouter compressed(g);
-  expect_equivalent(g, {&table, auto_router.get(), &compressed},
+  expect_equivalent(g, {&table, &implicit, &compressed},
                     "SE(h=" + std::to_string(h) + ")");
 }
 
@@ -272,9 +264,9 @@ TEST_P(SeRouterGrid, ReconfiguredNaturalFtSeKeepsImplicitRouting) {
   std::mt19937_64 rng(900 + h);
   const FaultSet faults = FaultSet::random(ft.ft_graph.num_nodes(), k, rng);
   const Machine machine = Machine::reconfigured(ft.ft_graph, faults, target.num_nodes());
-  ASSERT_TRUE(machine.live_logical_graph(target).same_structure(target));
-  const auto router = machine_logical_router(machine, target, auto_implicit());
-  ASSERT_EQ(router->backend(), RouterBackend::Implicit);
+  const Graph live = machine.live_logical_graph(target);
+  ASSERT_TRUE(live.same_structure(target));
+  const auto router = implicit_router_of(live);
   const TableRouter table(target);
   expect_equivalent(target, {&table, router.get()},
                     "reconfigured SE(h=" + std::to_string(h) + ")");
@@ -292,21 +284,6 @@ TEST_P(SeRouterGrid, DegradedMachineBelowThresholdGetsTheTable) {
 
 INSTANTIATE_TEST_SUITE_P(Grid, SeRouterGrid, ::testing::Values(2, 3, 4, 5));
 
-TEST(MakeRouter, ForcingImplicitOnUnshapedGraphThrows) {
-  const Graph g = make_graph(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
-  EXPECT_THROW(make_router(g, forced(RouterOptions::Backend::Implicit)), std::invalid_argument);
-}
-
-TEST(MakeRouter, ForcedBackendsAreHonored) {
-  const Graph g = debruijn_base2(3);
-  EXPECT_EQ(make_router(g, forced(RouterOptions::Backend::Table))->backend(),
-            RouterBackend::Table);
-  EXPECT_EQ(make_router(g, forced(RouterOptions::Backend::Compressed))->backend(),
-            RouterBackend::Compressed);
-  EXPECT_EQ(make_router(g, forced(RouterOptions::Backend::Implicit))->backend(),
-            RouterBackend::Implicit);
-}
-
 TEST(MakeRouter, HighDegreeUnshapedGraphGetsTheTable) {
   // A star exceeds the compressed-degree bound: auto must pick the table.
   GraphBuilder builder(20);
@@ -316,35 +293,63 @@ TEST(MakeRouter, HighDegreeUnshapedGraphGetsTheTable) {
   EXPECT_EQ(router->backend(), RouterBackend::Table);
 }
 
+/// Target shape with every edge incident to a fault removed — the degraded
+/// machine model (dead nodes keep their ids, traffic routes around them).
+Graph degraded_graph(const Graph& target, const std::vector<NodeId>& faults) {
+  std::vector<bool> dead(target.num_nodes(), false);
+  for (const NodeId f : faults) dead[f] = true;
+  GraphBuilder b(target.num_nodes());
+  for (NodeId u = 0; u < target.num_nodes(); ++u) {
+    if (dead[u]) continue;
+    for (const NodeId w : target.neighbors(u)) {
+      if (u < w && !dead[w]) b.add_edge(u, w);
+    }
+  }
+  return b.build();
+}
+
 TEST(MakeRouter, SizeAwarePolicyPrefersTableBelowThreshold) {
-  // Below the default 2^12 threshold a shaped machine gets the table: same
-  // canonical hops, O(1) lookups, slab cheap at this size.
+  // Every outcome of the fixed policy, on both sides of kAlgebraMinNodes.
+  ASSERT_EQ(kAlgebraMinNodes, std::size_t{1} << 12);
+  // Below it every graph gets the table: a shape, a proper subgraph of one,
+  // and a graph inside no shape.
   const Graph small = debruijn_base2(6);  // 64 nodes
   EXPECT_EQ(make_router(small)->backend(), RouterBackend::Table);
-  // At the threshold and above, the O(1)-memory algebra wins.
+  EXPECT_EQ(make_router(degraded_graph(small, {9, 40}))->backend(), RouterBackend::Table);
+  EXPECT_EQ(make_router(ft_debruijn_base2(4, 2))->backend(), RouterBackend::Table);
+
+  // At the threshold a graph equal to its shape gets the O(1)-memory algebra.
   const Graph big = debruijn_graph({.base = 2, .digits = 12});  // exactly 2^12
-  EXPECT_EQ(make_router(big)->backend(), RouterBackend::Implicit);
+  const auto big_router = make_router(big);
+  EXPECT_EQ(big_router->backend(), RouterBackend::Implicit);
+  EXPECT_EQ(big_router->memory_bytes(), 0u);
+  EXPECT_EQ(make_router(shuffle_exchange_graph(12))->backend(), RouterBackend::Implicit);
 
-  // The threshold is a knob...
-  RouterOptions raised;
-  raised.implicit_min_nodes = std::size_t{1} << 13;
-  EXPECT_EQ(make_router(big, raised)->backend(), RouterBackend::Table);
-  RouterOptions off;
-  off.implicit_min_nodes = 0;
-  EXPECT_EQ(make_router(small, off)->backend(), RouterBackend::Implicit);
-
-  // ...and the forced-backend escape hatch bypasses the policy in both
-  // directions: implicit on a tiny shape, table on a big one.
-  EXPECT_EQ(make_router(small, forced(RouterOptions::Backend::Implicit))->backend(),
-            RouterBackend::Implicit);
-  EXPECT_EQ(make_router(big, forced(RouterOptions::Backend::Table))->backend(),
-            RouterBackend::Table);
-
-  // The policy only reroutes *shaped* graphs; unshaped graphs keep the
-  // degree-based compressed/table choice regardless of the threshold.
-  const Graph ft = ft_debruijn_base2(4, 2);
-  EXPECT_EQ(make_router(ft)->backend(), RouterBackend::Compressed);
-  EXPECT_EQ(make_router(ft, off)->backend(), RouterBackend::Compressed);
+  // A proper subgraph of a shape gets the shape-delta compressed router,
+  // exact against BFS from a sample of sources.
+  const Graph degraded = degraded_graph(big, {77, 2900});
+  const auto compressed = make_router(degraded);
+  ASSERT_EQ(compressed->backend(), RouterBackend::Compressed);
+  std::mt19937_64 rng(4096);
+  for (int i = 0; i < 8; ++i) {
+    const auto src = static_cast<NodeId>(rng() % degraded.num_nodes());
+    const auto oracle = bfs_distances(degraded, src);
+    for (NodeId dst = 0; dst < degraded.num_nodes(); ++dst) {
+      ASSERT_EQ(compressed->distance(dst, src), oracle[dst]) << +src << "->" << +dst;
+    }
+    for (int j = 0; j < 32; ++j) {
+      const auto dst = static_cast<NodeId>(rng() % degraded.num_nodes());
+      const std::vector<NodeId> path = compressed->path(src, dst);
+      if (oracle[dst] == kUnreachable) {
+        EXPECT_TRUE(path.empty()) << +src << "->" << +dst;
+        continue;
+      }
+      ASSERT_EQ(path.size(), static_cast<std::size_t>(oracle[dst]) + 1) << +src << "->" << +dst;
+      for (std::size_t hop = 0; hop + 1 < path.size(); ++hop) {
+        ASSERT_TRUE(degraded.has_edge(path[hop], path[hop + 1])) << +src << "->" << +dst;
+      }
+    }
+  }
 }
 
 TEST(MakeRouter, FtGraphIsNotMistakenForItsTarget) {
@@ -353,8 +358,7 @@ TEST(MakeRouter, FtGraphIsNotMistakenForItsTarget) {
   const Graph ft = ft_debruijn_base2(4, 2);
   EXPECT_FALSE(debruijn_shape_of(ft).has_value());
   EXPECT_FALSE(shuffle_exchange_shape_of(ft).has_value());
-  const auto router = make_router(ft);
-  EXPECT_NE(router->backend(), RouterBackend::Implicit);
+  EXPECT_EQ(make_router(ft)->backend(), RouterBackend::Table);
 }
 
 TEST(ImplicitRouter, SpotCheckAgainstBfsAtLargerN) {
@@ -375,13 +379,31 @@ TEST(ImplicitRouter, SpotCheckAgainstBfsAtLargerN) {
 }
 
 TEST(CompressedRouter, HandlesDisconnectedGraphs) {
-  const Graph g = make_graph(5, {{0, 1}, {2, 3}});
+  // B_{2,3} minus nodes 1, 2, 5 and 6 leaves the edge 0-4 apart from the
+  // path 3-7: two components inside the shape, plus the isolated faults.
+  const Graph g = degraded_graph(debruijn_base2(3), {1, 2, 5, 6});
+  ASSERT_TRUE(g.has_edge(0, 4));
+  ASSERT_TRUE(g.has_edge(3, 7));
   const CompressedRouter compressed(g);
   const TableRouter table(g);
   expect_equivalent(g, {&table, &compressed}, "disconnected");
-  EXPECT_FALSE(compressed.reachable(2, 0));
-  EXPECT_EQ(compressed.distance(2, 0), static_cast<std::uint32_t>(-1));
-  EXPECT_TRUE(compressed.path(0, 2).empty());
+  EXPECT_FALSE(compressed.reachable(3, 0));
+  EXPECT_EQ(compressed.distance(3, 0), static_cast<std::uint32_t>(-1));
+  EXPECT_TRUE(compressed.path(0, 3).empty());
+}
+
+TEST(CompressedRouter, RejectsGraphsOutsideAShape) {
+  // The FT fabric (m^h + k nodes), a star and a path sit inside no
+  // B_{m,h} / SE_h of their node count; a 16-node ring has the node count of
+  // B_{2,4}, B_{4,2} and SE_4 but fits none of their adjacencies.
+  GraphBuilder star(20);
+  for (NodeId v = 1; v < 20; ++v) star.add_edge(0, v);
+  const Graph path = make_graph(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
+  GraphBuilder ring(16);
+  for (NodeId v = 0; v < 16; ++v) ring.add_edge(v, (v + 1) % 16);
+  for (const Graph& g : {ft_debruijn_base2(4, 2), star.build(), path, ring.build()}) {
+    EXPECT_THROW(CompressedRouter{g}, std::invalid_argument) << g.num_nodes() << " nodes";
+  }
 }
 
 TEST(RouterPath, SelfPathIsTrivialAcrossBackends) {
@@ -400,7 +422,7 @@ TEST(RouterPath, SelfPathIsTrivialAcrossBackends) {
 
 TEST(RouteMany, SpanSizeMismatchThrows) {
   const Graph g = debruijn_base2(3);
-  const auto router = make_router(g, auto_implicit());
+  const auto router = implicit_router_of(g);
   std::vector<NodeId> dests{1, 2}, nodes{3}, hops(2);
   std::vector<std::uint32_t> dists(2);
   EXPECT_THROW(router->route_many(dests, nodes, hops), std::invalid_argument);
@@ -417,10 +439,8 @@ TEST(RouteMany, MemoCacheSurvivesInterleavedRoutersAndStaysExact) {
   const DeBruijnParams db{.base = 2, .digits = 8};
   const Graph gb = debruijn_graph(db);
   const Graph gs = shuffle_exchange_graph(8);
-  const auto rb = make_router(gb, auto_implicit());
-  const auto rs = make_router(gs, auto_implicit());
-  ASSERT_EQ(rb->backend(), RouterBackend::Implicit);
-  ASSERT_EQ(rs->backend(), RouterBackend::Implicit);
+  const auto rb = implicit_router_of(gb);
+  const auto rs = implicit_router_of(gs);
   EXPECT_EQ(rb->memory_bytes(), 0u);
   EXPECT_GT(ImplicitRouter::route_cache_bytes(), 0u);
 
@@ -456,8 +476,7 @@ TEST(RouteMany, HintedOverloadMatchesScalarAcrossWalks) {
   const Graph gb = debruijn_graph({.base = 2, .digits = 10});
   const Graph gs = shuffle_exchange_graph(10);
   for (const Graph* g : {&gb, &gs}) {
-    const auto router = make_router(*g, auto_implicit());
-    ASSERT_EQ(router->backend(), RouterBackend::Implicit);
+    const auto router = implicit_router_of(*g);
     std::mt19937_64 rng(99);
     const auto n = static_cast<NodeId>(router->num_nodes());
     const std::size_t walks = 256;
@@ -501,21 +520,6 @@ TEST(RouteMany, ImplicitPathMatchesScalarWalkAtScale) {
     }
     ASSERT_EQ(fast, slow) << src << "->" << dst;
   }
-}
-
-/// Target shape with every edge incident to a fault removed — the degraded
-/// machine model (dead nodes keep their ids, traffic routes around them).
-Graph degraded_graph(const Graph& target, const std::vector<NodeId>& faults) {
-  std::vector<bool> dead(target.num_nodes(), false);
-  for (const NodeId f : faults) dead[f] = true;
-  GraphBuilder b(target.num_nodes());
-  for (NodeId u = 0; u < target.num_nodes(); ++u) {
-    if (dead[u]) continue;
-    for (const NodeId w : target.neighbors(u)) {
-      if (u < w && !dead[w]) b.add_edge(u, w);
-    }
-  }
-  return b.build();
 }
 
 /// The graph an incrementally maintained CompressedRouter routes on:
@@ -577,7 +581,6 @@ struct ChainSpec {
 void run_incremental_chain(const Graph& target, const Graph& start, const ChainSpec& spec,
                            const std::string& context) {
   CompressedRouter inc(start);
-  ASSERT_TRUE(inc.uses_reference_shape()) << context;
   ASSERT_TRUE(inc.tracked_faults().empty()) << context;
   LiveGraphModel live(target, start);
   std::mt19937_64 rng(spec.seed);
@@ -735,18 +738,6 @@ TEST(CompressedIncremental, ExceptionGrowthStaysNearFTimesH) {
   EXPECT_EQ(inc.stats().reference_digits, h);
 }
 
-TEST(CompressedIncremental, RunLengthModeRefusesIncrementalOps) {
-  // A graph with no containing reference shape falls back to run-length
-  // encoding, which has nothing to patch incrementally.
-  const Graph ring = make_graph(6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {0, 5}});
-  CompressedRouter r(ring);
-  ASSERT_FALSE(r.uses_reference_shape());
-  EXPECT_STREQ(r.stats().reference, "none");
-  EXPECT_GT(r.stats().run_entries, 0u);
-  EXPECT_THROW(r.apply_fault(0), std::logic_error);
-  EXPECT_THROW(r.retract_fault(0), std::logic_error);
-}
-
 TEST(CompressedIncremental, ArgumentValidation) {
   CompressedRouter r(debruijn_base2(4));
   EXPECT_THROW(r.apply_fault(16), std::invalid_argument);
@@ -757,82 +748,10 @@ TEST(CompressedIncremental, ArgumentValidation) {
   EXPECT_EQ(r.stats().state_hash, CompressedRouter(debruijn_base2(4)).stats().state_hash);
 }
 
-/// Parallel construction must be invisible: destination-sharded builds are
-/// documented to produce storage *bit-identical* to a serial build, which the
-/// campaign relies on for byte-identical reports regardless of worker count.
-TEST(ParallelBuild, TableRouterIsBitIdenticalAcrossThreadCounts) {
-  // A degraded graph: unreachable rows and detours exercise the sentinel
-  // paths in every shard, not just the happy BFS.
-  const Graph g = degraded_graph(debruijn_base2(5), {7, 19});
-  const TableRouter serial(g, 1);
-  for (const unsigned threads : {3u, 5u, 0u}) {
-    const TableRouter sharded(g, threads);
-    for (NodeId dest = 0; dest < g.num_nodes(); ++dest) {
-      for (NodeId node = 0; node < g.num_nodes(); ++node) {
-        ASSERT_EQ(sharded.next_hop(dest, node), serial.next_hop(dest, node))
-            << "threads=" << threads << " dest=" << +dest << " node=" << +node;
-        ASSERT_EQ(sharded.distance(dest, node), serial.distance(dest, node))
-            << "threads=" << threads << " dest=" << +dest << " node=" << +node;
-      }
-    }
-  }
-}
-
-TEST(ParallelBuild, ShapeDeltaCompressedBuildsAreBitIdentical) {
-  // Shape-delta path: degraded B_{2,5} and SE_4 carry real exception tables,
-  // so chunk concatenation order is observable through the state hash.
-  for (const Graph& g : {degraded_graph(debruijn_base2(5), {7, 19}),
-                         degraded_graph(shuffle_exchange_graph(4), {3, 10})}) {
-    const CompressedRouter serial(g, 1);
-    ASSERT_TRUE(serial.uses_reference_shape());
-    ASSERT_GT(serial.num_exceptions(), 0u);
-    for (const unsigned threads : {2u, 3u, 0u}) {
-      const CompressedRouter sharded(g, threads);
-      ASSERT_EQ(sharded.num_exceptions(), serial.num_exceptions()) << "threads=" << threads;
-      ASSERT_EQ(sharded.stats().state_hash, serial.stats().state_hash) << "threads=" << threads;
-      ASSERT_EQ(sharded.memory_bytes(), serial.memory_bytes()) << "threads=" << threads;
-    }
-  }
-}
-
-TEST(ParallelBuild, RunLengthCompressedStitchesChunkBoundaries) {
-  // Run-length fallback: a long even cycle has runs that span any chunk
-  // boundary, so the boundary-stitching (dropping runs that merely continue
-  // the previous chunk's final hop) is what this pins down.
-  std::vector<Edge> edges;
-  const NodeId n = 24;
-  for (NodeId v = 0; v < n; ++v) edges.push_back({v, static_cast<NodeId>((v + 1) % n)});
-  const Graph ring = make_graph(n, edges);
-  const CompressedRouter serial(ring, 1);
-  ASSERT_FALSE(serial.uses_reference_shape());
-  for (const unsigned threads : {2u, 3u, 7u, 0u}) {
-    const CompressedRouter sharded(ring, threads);
-    ASSERT_EQ(sharded.num_runs(), serial.num_runs()) << "threads=" << threads;
-    ASSERT_EQ(sharded.stats().state_hash, serial.stats().state_hash) << "threads=" << threads;
-    expect_equivalent(ring, {&sharded}, "run-length threads=" + std::to_string(threads));
-  }
-}
-
-TEST(ParallelBuild, MakeRouterPassesBuildThreadsThrough) {
-  const Graph g = degraded_graph(debruijn_base2(5), {7});
-  RouterOptions opts = forced(RouterOptions::Backend::Compressed);
-  opts.build_threads = 3;
-  const auto sharded = make_router(g, opts);
-  const auto* compressed = dynamic_cast<const CompressedRouter*>(sharded.get());
-  ASSERT_NE(compressed, nullptr);
-  EXPECT_EQ(compressed->stats().state_hash, CompressedRouter(g, 1).stats().state_hash);
-
-  opts.backend = RouterOptions::Backend::Table;
-  const auto table = make_router(g, opts);
-  EXPECT_EQ(table->backend(), RouterBackend::Table);
-  expect_equivalent(g, {table.get(), compressed}, "make_router build_threads=3");
-}
-
 TEST(CompressedHealthy, ShapeEqualGraphsBuildWithoutTheSweep) {
   // A graph equal to its reference shape has no exceptions by definition, so
   // the constructor skips the per-destination BFS sweep. The result must be
-  // exact, identical for every build_threads, and the same canonical state a
-  // fault-and-repair cycle returns to.
+  // exact and the same canonical state a fault-and-repair cycle returns to.
   std::vector<std::pair<Graph, std::string>> shapes;
   for (unsigned h = 4; h <= 8; ++h) {
     shapes.emplace_back(debruijn_base2(h), "B(2," + std::to_string(h) + ")");
@@ -843,25 +762,16 @@ TEST(CompressedHealthy, ShapeEqualGraphsBuildWithoutTheSweep) {
     shapes.emplace_back(shuffle_exchange_graph(h), "SE_" + std::to_string(h));
   }
   for (const auto& [g, name] : shapes) {
-    std::uint64_t hash = 0;
-    for (const unsigned threads : {1u, 3u, 0u}) {
-      const std::string context = name + " threads=" + std::to_string(threads);
-      const CompressedRouter healthy(g, threads);
-      ASSERT_TRUE(healthy.uses_reference_shape()) << context;
-      EXPECT_EQ(healthy.num_exceptions(), 0u) << context;
-      EXPECT_TRUE(healthy.tracked_faults().empty()) << context;
-      if (threads == 1) {
-        hash = healthy.stats().state_hash;
-        expect_equivalent(g, {&healthy}, context);
-      }
-      EXPECT_EQ(healthy.stats().state_hash, hash) << context;
-      CompressedRouter cycled(g, threads);
-      const auto v = static_cast<NodeId>(g.num_nodes() / 3);
-      cycled.apply_fault(v);
-      cycled.retract_fault(v);
-      EXPECT_EQ(cycled.stats().state_hash, hash) << context;
-      EXPECT_EQ(cycled.num_exceptions(), 0u) << context;
-    }
+    const CompressedRouter healthy(g);
+    EXPECT_EQ(healthy.num_exceptions(), 0u) << name;
+    EXPECT_TRUE(healthy.tracked_faults().empty()) << name;
+    expect_equivalent(g, {&healthy}, name);
+    CompressedRouter cycled(g);
+    const auto v = static_cast<NodeId>(g.num_nodes() / 3);
+    cycled.apply_fault(v);
+    cycled.retract_fault(v);
+    EXPECT_EQ(cycled.stats().state_hash, healthy.stats().state_hash) << name;
+    EXPECT_EQ(cycled.num_exceptions(), 0u) << name;
   }
 }
 

@@ -2,6 +2,10 @@
 // accounting, degradation under faults, and full service after reconfiguration.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
+#include <utility>
+
 #include "ft/ft_debruijn.hpp"
 #include "sim/engine.hpp"
 #include "sim/traffic.hpp"
@@ -166,10 +170,9 @@ TEST(Engine, AllRouterBackendsProduceIdenticalTraffic) {
   // matter which backend routes it.
   const Graph target = debruijn_base2(5);
   const auto packets = uniform_traffic(32, 400, 4, 2024);
-  auto run_with = [&](const Machine& machine, RouterOptions::Backend backend) {
-    EngineOptions options;
-    options.router.backend = backend;
-    return run_packets(machine, target, packets, options);
+  auto run_with = [&](const Machine& machine, std::unique_ptr<Router> router) {
+    PacketSimulator sim(machine, target, std::move(router));
+    return sim.run(packets);
   };
   auto expect_same = [](const SimStats& a, const SimStats& b, const char* what) {
     EXPECT_EQ(a.delivered, b.delivered) << what;
@@ -182,17 +185,26 @@ TEST(Engine, AllRouterBackendsProduceIdenticalTraffic) {
   };
 
   const Machine healthy = Machine::direct(target);
-  const SimStats table = run_with(healthy, RouterOptions::Backend::Table);
-  expect_same(table, run_with(healthy, RouterOptions::Backend::Compressed), "healthy/compressed");
-  expect_same(table, run_with(healthy, RouterOptions::Backend::Implicit), "healthy/implicit");
-  expect_same(table, run_with(healthy, RouterOptions::Backend::Auto), "healthy/auto");
+  const SimStats table = run_with(healthy, std::make_unique<TableRouter>(target));
+  expect_same(table, run_with(healthy, std::make_unique<CompressedRouter>(target)),
+              "healthy/compressed");
+  expect_same(table,
+              run_with(healthy, std::make_unique<ImplicitRouter>(
+                                    ImplicitRouter::for_debruijn({.base = 2, .digits = 5}))),
+              "healthy/implicit");
+  expect_same(table, run_packets(healthy, target, packets), "healthy/make_router");
 
   const FaultSet faults(32, {3, 17});
   const Machine degraded = Machine::direct_with_faults(target, faults);
-  const SimStats dtable = run_with(degraded, RouterOptions::Backend::Table);
-  expect_same(dtable, run_with(degraded, RouterOptions::Backend::Compressed),
+  const Graph live = degraded.live_logical_graph(target);
+  const SimStats dtable = run_with(degraded, std::make_unique<TableRouter>(live));
+  expect_same(dtable, run_with(degraded, std::make_unique<CompressedRouter>(live)),
               "degraded/compressed");
-  expect_same(dtable, run_with(degraded, RouterOptions::Backend::Auto), "degraded/auto");
+  expect_same(dtable, run_packets(degraded, target, packets), "degraded/make_router");
+
+  // The router must route the live graph: a node-count mismatch is refused.
+  EXPECT_THROW(PacketSimulator(healthy, target, std::make_unique<TableRouter>(debruijn_base2(4))),
+               std::invalid_argument);
 }
 
 TEST(Engine, PermutationTrafficDrains) {
